@@ -156,32 +156,6 @@ void BM_GroupCommitUnderContention(benchmark::State& state) {
 }
 BENCHMARK(BM_GroupCommitUnderContention)->Threads(1)->Threads(8)->Threads(32)->UseRealTime();
 
-void BM_ShardedGroupCommit(benchmark::State& state) {
-  // §4.1: the logging sub-component "can be distributed across several
-  // nodes should one logging node not be sufficient". Lanes overlap their
-  // stable-storage writes.
-  static TxnLog* log = nullptr;
-  if (state.thread_index() == 0) {
-    TxnLogConfig cfg;
-    cfg.sync_latency = 100;
-    cfg.lanes = static_cast<int>(state.range(0));
-    log = new TxnLog(cfg);
-  }
-  static std::atomic<Timestamp> ts{0};
-  const std::string client = "bench-" + std::to_string(state.thread_index());
-  for (auto _ : state) {
-    WriteSet ws = small_ws(ts.fetch_add(1) + 1);
-    ws.client_id = client;  // clients spread across lanes
-    benchmark::DoNotOptimize(log->append(std::move(ws)));
-  }
-  state.SetItemsProcessed(state.iterations());
-  if (state.thread_index() == 0) {
-    delete log;
-    log = nullptr;
-  }
-}
-BENCHMARK(BM_ShardedGroupCommit)->Args({1})->Args({4})->Threads(32)->UseRealTime();
-
 }  // namespace
 }  // namespace tfr
 

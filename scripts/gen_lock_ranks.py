@@ -82,7 +82,7 @@ RANKS = [
      "commit certification publishes to the TM log (group commit) while the "
      "conflict window is pinned"),
     ("kTxnLog", 110, "txn_log", False, "TM group-commit log", "DFS",
-     "appender lanes sync stable storage outside the shared mutex; only "
+     "the appender thread syncs stable storage with the mutex released; only "
      "queue/segment bookkeeping happens under it"),
     ("kCoord", 100, "coord", False, "coordination service (ZK stand-in)",
      "callback queues, logging",

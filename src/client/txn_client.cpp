@@ -201,20 +201,16 @@ Result<Timestamp> TxnClient::commit_writeset(const TxnHandle& handle, WriteSet w
 
 void TxnClient::flusher_loop() {
   while (auto ws = flush_queue_.pop()) {
-    // Pipelined flush: opportunistically drain whatever else is already
-    // queued (up to the batch cap) so one RPC round covers many write-sets.
+    // Opportunistically drain whatever else is already queued (up to the
+    // batch cap) so one RPC round covers many write-sets.
     std::vector<WriteSet> batch;
     batch.push_back(std::move(*ws));
-    if (config_.pipelined_flush) {
-      while (batch.size() < config_.flush_batch_max) {
-        auto more = flush_queue_.try_pop();
-        if (!more) break;
-        batch.push_back(std::move(*more));
-      }
+    while (batch.size() < config_.flush_batch_max) {
+      auto more = flush_queue_.try_pop();
+      if (!more) break;
+      batch.push_back(std::move(*more));
     }
-    Status s = batch.size() == 1
-                   ? kv_.flush_writeset(batch.front(), std::nullopt, false, &flush_cancel_)
-                   : kv_.flush_writesets(batch, &flush_cancel_);
+    Status s = kv_.flush_writesets(batch, std::nullopt, false, &flush_cancel_);
     if (!s.is_ok()) {
       // Only cancellation (crash) can break the unlimited-retry loop.
       TFR_LOG(INFO, "client") << id_ << " flush of " << batch.size()

@@ -32,7 +32,7 @@ class BloomFilter {
   bool may_contain(std::uint64_t hash) const;
   bool may_contain(std::string_view key) const { return may_contain(bloom_hash(key)); }
 
-  /// True when the filter carries no bits (v1 files, empty files): probes
+  /// True when the filter carries no bits (empty files): probes
   /// always pass and callers should not count skips against it.
   bool empty() const { return bits_.empty(); }
 

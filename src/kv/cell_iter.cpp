@@ -76,9 +76,4 @@ Status collect_visible(CellIterator& it, Timestamp read_ts, std::size_t limit,
   return Status::ok();
 }
 
-ReadPathFlags& read_path_flags() {
-  static ReadPathFlags flags;
-  return flags;
-}
-
 }  // namespace tfr

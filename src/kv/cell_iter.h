@@ -13,7 +13,6 @@
 // memory from O(region) (a std::set of every cell) to O(block).
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <memory>
 #include <vector>
@@ -96,17 +95,5 @@ class MergingCellIterator : public CellIterator {
 /// row is complete. Exact duplicates from multiple sources collapse to one.
 Status collect_visible(CellIterator& it, Timestamp read_ts, std::size_t limit,
                        std::vector<Cell>* out);
-
-/// A/B switches for the streaming read path, flipped by bench_read (and
-/// the read-vs-oracle property test, which cross-checks both paths).
-/// Process-wide because the paths they select are stateless; production
-/// never touches them and gets the new path.
-struct ReadPathFlags {
-  std::atomic<bool> bloom_pruning{true};   // store-file bloom skip on point gets
-  std::atomic<bool> range_pruning{true};   // store-file [first,last] row-range skip
-  std::atomic<bool> streaming_scan{true};  // iterator merge vs materialize-then-merge
-};
-
-ReadPathFlags& read_path_flags();
 
 }  // namespace tfr

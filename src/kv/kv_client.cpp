@@ -66,87 +66,12 @@ void KvClient::invalidate_route(const std::string& table, const std::string& row
 
 Status KvClient::flush_writeset(const WriteSet& ws, std::optional<Timestamp> piggyback_tp,
                                 bool recovery_replay, const std::atomic<bool>* cancel) {
-  if (ws.mutations.empty()) return Status::ok();
-  if (ws.commit_ts == kNoTimestamp) {
-    return Status::invalid_argument("write-set has no commit timestamp");
-  }
-
-  // Track which mutations still need to be applied; a participant ack
-  // covers all mutations that were in its slice.
-  std::vector<Mutation> pending = ws.mutations;
-  Backoff backoff(retry_backoff_, retry_backoff_ * 32);
-
-  while (!pending.empty()) {
-    if (cancel && cancel->load(std::memory_order_acquire)) {
-      return Status::closed("flush cancelled (client died)");
-    }
-    // Group the pending mutations by the server currently hosting them.
-    std::map<std::string, std::vector<Mutation>> by_server;
-    Status route_error = Status::ok();
-    for (const auto& m : pending) {
-      auto loc = locate(ws.table, m.row);
-      if (!loc.is_ok()) {
-        // Unknown table: a region always covers the full keyspace of an
-        // existing table, so NotFound is permanent — fail instead of
-        // retrying forever.
-        if (loc.status().is_not_found()) return loc.status();
-        route_error = loc.status();
-        break;
-      }
-      by_server[loc.value().server_id].push_back(m);
-    }
-
-    if (route_error.is_ok()) {
-      std::vector<Mutation> still_pending;
-      for (auto& [server_id, muts] : by_server) {
-        RegionServer* stub = master_->server_stub(server_id);
-        Status s = stub == nullptr ? Status::unavailable("unknown server " + server_id)
-                                   : Status::ok();
-        if (s.is_ok()) {
-          ApplyRequest req;
-          req.txn_id = ws.txn_id;
-          req.client_id = ws.client_id;
-          req.commit_ts = ws.commit_ts;
-          req.table = ws.table;
-          req.mutations = muts;
-          req.piggyback_tp = piggyback_tp;
-          req.recovery_replay = recovery_replay;
-          flush_rpcs_.fetch_add(1, std::memory_order_relaxed);
-          s = stub->apply_writeset(req);
-        }
-        if (!s.is_ok()) {
-          // WrongEpoch means the slice hit a fenced (stale) owner;
-          // Unavailable covers a region that moved, split or is mid-
-          // recovery. Either way the cached routes for these rows are
-          // suspect: drop them so the retry re-locates through the master —
-          // which has already published the new assignment.
-          if (!s.is_unavailable() && !s.is_wrong_epoch()) return s;  // real error
-          for (const auto& m : muts) invalidate_route(ws.table, m.row);
-          still_pending.insert(still_pending.end(), muts.begin(), muts.end());
-        }
-      }
-      pending = std::move(still_pending);
-      if (pending.empty()) break;
-    }
-
-    // Unlimited retries (§3.2): back off (with jitter, so clients re-flushing
-    // into a recovering region do not wake in lockstep) and try again; the
-    // region will come back online once recovery completes.
-    flush_retries_.fetch_add(1, std::memory_order_relaxed);
-    static Counter& retries = global_counter("kv.flush_retries");
-    retries.add();
-    if (backoff.attempts() > 0 && backoff.attempts() % 200 == 0) {
-      TFR_LOG(WARN, "kvclient") << ws.client_id << " still flushing txn " << ws.commit_ts
-                                << " after " << backoff.attempts() << " retries";
-    }
-    if (!backoff.sleep(cancel)) {
-      return Status::closed("flush cancelled (client died)");
-    }
-  }
-  return Status::ok();
+  return flush_writesets(std::span<const WriteSet>(&ws, 1), piggyback_tp, recovery_replay,
+                         cancel);
 }
 
-Status KvClient::flush_writesets(const std::vector<WriteSet>& batch,
+Status KvClient::flush_writesets(std::span<const WriteSet> batch,
+                                 std::optional<Timestamp> piggyback_tp, bool recovery_replay,
                                  const std::atomic<bool>* cancel) {
   for (const WriteSet& ws : batch) {
     if (!ws.mutations.empty() && ws.commit_ts == kNoTimestamp) {
@@ -202,6 +127,8 @@ Status KvClient::flush_writesets(const std::vector<WriteSet>& batch,
           slice.commit_ts = batch[ws_index].commit_ts;
           slice.table = batch[ws_index].table;
           slice.mutations = muts;
+          slice.piggyback_tp = piggyback_tp;
+          slice.recovery_replay = recovery_replay;
           req.slices.push_back(std::move(slice));
           slice_ws.push_back(ws_index);
         }
@@ -226,6 +153,12 @@ Status KvClient::flush_writesets(const std::vector<WriteSet>& batch,
         const std::vector<Status>& statuses = result.value();
         for (std::size_t s = 0; s < statuses.size(); ++s) {
           if (statuses[s].is_ok()) continue;
+          // WrongEpoch means the slice hit a fenced (stale) owner;
+          // Unavailable covers a region that moved, split, is mid-recovery
+          // or whose server crashed under the apply. Either way the cached
+          // routes for these rows are suspect: drop them so the retry
+          // re-locates through the master, which has already published (or
+          // will publish) the new assignment.
           if (!statuses[s].is_unavailable() && !statuses[s].is_wrong_epoch()) {
             return statuses[s];  // real error
           }
@@ -240,12 +173,16 @@ Status KvClient::flush_writesets(const std::vector<WriteSet>& batch,
       if (!any_retryable) continue;  // progress was clean; re-check for done
     }
 
+    // Unlimited retries (§3.2): back off (with jitter, so clients re-flushing
+    // into a recovering region do not wake in lockstep) and try again; the
+    // region will come back online once recovery completes.
     flush_retries_.fetch_add(1, std::memory_order_relaxed);
     static Counter& retries = global_counter("kv.flush_retries");
     retries.add();
     if (backoff.attempts() > 0 && backoff.attempts() % 200 == 0) {
-      TFR_LOG(WARN, "kvclient") << client_id_ << " still flushing a batch of " << batch.size()
-                                << " write-sets after " << backoff.attempts() << " retries";
+      TFR_LOG(WARN, "kvclient") << batch.front().client_id << " still flushing " << batch.size()
+                                << " write-set(s) from txn " << batch.front().commit_ts
+                                << " after " << backoff.attempts() << " retries";
     }
     if (!backoff.sleep(cancel)) {
       return Status::closed("flush cancelled (client died)");

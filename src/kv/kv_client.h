@@ -2,12 +2,12 @@
 // master, plus the flush protocol for committed write-sets.
 //
 // The flush of a write-set "is usually a non-atomic operation" (§2.2): a
-// write-set may span several servers and is sent as one ApplyRequest per
+// write-set may span several servers and is sent as one slice per
 // participant. A server failure interrupts the flush; the client then
 // "retries, multiple times, to flush the remaining part of the write-set to
 // the target regions ... we remove the retry and timeout limits so that the
-// client keeps retrying until it succeeds" (§3.2). flush_writeset implements
-// exactly that loop.
+// client keeps retrying until it succeeds" (§3.2). flush_writesets
+// implements exactly that loop.
 // Routing: clients cache the master's region locations (the routing table,
 // §2.1) and re-locate only on a staleness signal — an Unavailable (region
 // not serving / row not hosted, e.g. after a split, merge or move) or a
@@ -19,6 +19,7 @@
 #include <atomic>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -47,29 +48,27 @@ class KvClient {
   /// sets as `client_id`), so partition rules can match this client.
   void set_client_id(std::string id) { client_id_ = std::move(id); }
 
-  /// Flush a committed write-set to all participant servers. Retries
-  /// indefinitely across server failures and region moves; returns only
-  /// when every participant has received and applied its slice, or with
-  /// InvalidArgument for malformed input.
+  /// Flush committed write-sets to all participant servers: all slices
+  /// bound for the same server travel in ONE BatchApplyRequest RPC per
+  /// retry round. Retries indefinitely across server failures and region
+  /// moves; returns Ok only when every write-set is fully applied, or
+  /// InvalidArgument / NotFound for malformed input or an unknown table.
+  /// Per-slice Unavailable/WrongEpoch outcomes only re-queue that
+  /// write-set's slice, so one moving region does not stall the rest.
   ///
   /// `piggyback_tp` / `recovery_replay` are used by the recovery client
   /// (§3.2) and left unset by regular clients.
   /// `cancel`, when non-null and set, aborts the retry loop with Closed —
   /// used to simulate a client process dying mid-flush.
+  Status flush_writesets(std::span<const WriteSet> batch,
+                         std::optional<Timestamp> piggyback_tp = std::nullopt,
+                         bool recovery_replay = false,
+                         const std::atomic<bool>* cancel = nullptr);
+
+  /// flush_writesets for a single write-set.
   Status flush_writeset(const WriteSet& ws, std::optional<Timestamp> piggyback_tp = std::nullopt,
                         bool recovery_replay = false,
                         const std::atomic<bool>* cancel = nullptr);
-
-  /// Flush several committed write-sets together (the pipelined flush
-  /// path): all slices bound for the same server travel in ONE
-  /// BatchApplyRequest RPC per retry round, instead of one RPC per
-  /// write-set per server. Same termination contract as flush_writeset —
-  /// retries indefinitely, returns Ok only when EVERY write-set is fully
-  /// applied, Closed on cancel. Per-slice Unavailable/WrongEpoch outcomes
-  /// only re-queue that write-set's slice, so one moving region does not
-  /// stall the rest of the batch.
-  Status flush_writesets(const std::vector<WriteSet>& batch,
-                         const std::atomic<bool>* cancel = nullptr);
 
   /// Snapshot read. Retries through failovers until the row's region is
   /// online again; `max_retries` = 0 means retry forever.

@@ -30,11 +30,6 @@ class Memstore {
   /// All cells, sorted, for a memstore flush snapshot.
   std::vector<Cell> snapshot() const;
 
-  /// Versions visible at read_ts for rows in [start, end) — newest version
-  /// per (row, column), tombstones included.
-  std::vector<Cell> scan(const std::string& start, const std::string& end,
-                         Timestamp read_ts) const;
-
   /// Every version of every (row, column) with row in [start, end), in
   /// (row, column, ts desc) order. The streaming read path snapshots the
   /// memstore's slice of a scan with this (visibility is resolved after the

@@ -252,56 +252,12 @@ std::shared_ptr<Region> RegionServer::region_for(const std::string& table,
   return nullptr;
 }
 
-Status RegionServer::apply_writeset(const ApplyRequest& request) {
-  TFR_BLOCKING_POINT("rpc.apply");
-  // Marshal the request exactly as a real RPC stack would: the server only
-  // ever sees the decoded wire bytes, and their size is charged against the
-  // network bandwidth on top of the per-RPC latency.
-  std::string wire = encode_apply_request(request);
-  rpc_model_.charge();
-  sleep_micros(transfer_micros(wire.size(), config_.network_mbps));
-  bool drop_response = false;
-  if (fault_ != nullptr) {
-    if (fault_->partitioned(request.client_id, id_)) {
-      // The request direction is blocked: nothing reached the server.
-      return Status::unavailable("partition: request from " + request.client_id + " to " + id_ +
-                                 " lost");
-    }
-    // An asymmetric partition blocking only the response direction behaves
-    // like a dropped ack: the work happens, the client retries.
-    if (fault_->partitioned(id_, request.client_id)) drop_response = true;
-    const FaultAction action = fault_->inject(FaultOp::kRpcApply, id_);
-    if (action.fail) {
-      // The request was lost on the wire; nothing reached the server.
-      return Status::unavailable("injected fault: request to " + id_ + " lost");
-    }
-    if (action.corrupt_wire) wire[wire.size() / 2] ^= 0x20;
-    drop_response = drop_response || action.drop_response;
-  }
-  auto decoded = decode_apply_request(wire);
-  if (!decoded.is_ok()) {
-    // A damaged request frame is a transport failure, not a store error: the
-    // server NAKs and the client retransmits the slice (reapplication is
-    // idempotent), so surface it as retryable.
-    return Status::unavailable("request frame rejected by " + id_ + ": " +
-                               decoded.status().message());
-  }
-  const ApplyRequest& req = decoded.value();
-
-  if (!alive()) return Status::unavailable("server down: " + id_);
-  SemaphoreGuard slot(handlers_);
-  if (!alive()) return Status::unavailable("server down: " + id_);
-
-  Status applied = apply_decoded(req);
-  if (!applied.is_ok()) return applied;
-
-  if (drop_response) {
-    // The write-set IS received (WAL-appended, applied, observed) but the
-    // ack never reaches the client, which re-sends — exercising idempotent
-    // reapplication (§3.2).
-    return Status::unavailable("injected fault: response from " + id_ + " dropped");
-  }
-  return Status::ok();
+Status RegionServer::apply_writeset(const ApplyRequest& req) {
+  BatchApplyRequest batch;
+  batch.slices.push_back(req);
+  auto statuses = apply_batch(batch);
+  if (!statuses.is_ok()) return statuses.status();
+  return statuses.value().front();
 }
 
 Result<std::vector<Status>> RegionServer::apply_batch(const BatchApplyRequest& batch) {
@@ -312,18 +268,25 @@ Result<std::vector<Status>> RegionServer::apply_batch(const BatchApplyRequest& b
   // sender for partition purposes.
   const std::string& client_id = batch.slices.front().client_id;
 
-  TFR_BLOCKING_POINT("rpc.apply_batch");
+  TFR_BLOCKING_POINT("rpc.apply");
+  // Marshal the request exactly as a real RPC stack would: the server only
+  // ever sees the decoded wire bytes, and their size is charged against the
+  // network bandwidth on top of the per-RPC latency.
   std::string wire = encode_batch_apply_request(batch);
   rpc_model_.charge();
   sleep_micros(transfer_micros(wire.size(), config_.network_mbps));
   bool drop_response = false;
   if (fault_ != nullptr) {
     if (fault_->partitioned(client_id, id_)) {
+      // The request direction is blocked: nothing reached the server.
       return Status::unavailable("partition: request from " + client_id + " to " + id_ + " lost");
     }
+    // An asymmetric partition blocking only the response direction behaves
+    // like a dropped ack: the work happens, the client retries.
     if (fault_->partitioned(id_, client_id)) drop_response = true;
     const FaultAction action = fault_->inject(FaultOp::kRpcApply, id_);
     if (action.fail) {
+      // The request was lost on the wire; nothing reached the server.
       return Status::unavailable("injected fault: request to " + id_ + " lost");
     }
     if (action.corrupt_wire) wire[wire.size() / 2] ^= 0x20;
@@ -331,9 +294,10 @@ Result<std::vector<Status>> RegionServer::apply_batch(const BatchApplyRequest& b
   }
   auto decoded = decode_batch_apply_request(wire);
   if (!decoded.is_ok()) {
-    // Same contract as the single-slice path: a damaged frame is NAKed as
-    // retryable and the client re-sends the whole batch (idempotent).
-    return Status::unavailable("batch frame rejected by " + id_ + ": " +
+    // A damaged request frame is a transport failure, not a store error: the
+    // server NAKs and the client re-sends the whole batch (reapplication is
+    // idempotent), so surface it as retryable.
+    return Status::unavailable("request frame rejected by " + id_ + ": " +
                                decoded.status().message());
   }
 
@@ -346,10 +310,21 @@ Result<std::vector<Status>> RegionServer::apply_batch(const BatchApplyRequest& b
   std::vector<Status> statuses;
   statuses.reserve(decoded.value().slices.size());
   for (const ApplyRequest& req : decoded.value().slices) {
-    statuses.push_back(apply_decoded(req));
+    Status applied = apply_decoded(req);
+    if (!applied.is_ok() && !alive()) {
+      // A crash tears the server down under a running apply (the WAL is
+      // closed, regions go offline), so the failure — Closed from the WAL
+      // append, say — reports the crash, not the request. A remote caller
+      // would see no answer and retry; say so explicitly. Reapplication on
+      // the new owner is idempotent.
+      applied = Status::unavailable("server crashed during apply: " + id_);
+    }
+    statuses.push_back(std::move(applied));
   }
   if (drop_response) {
-    // Everything above happened, but the per-slice acks never arrive.
+    // The write-sets ARE received (WAL-appended, applied, observed) but the
+    // acks never reach the client, which re-sends — exercising idempotent
+    // reapplication (§3.2).
     return Status::unavailable("injected fault: response from " + id_ + " dropped");
   }
   return statuses;

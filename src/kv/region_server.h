@@ -103,11 +103,10 @@ struct ApplyRequest {
 };
 
 /// Several write-set slices from one client to one server, shipped as a
-/// single RPC (the pipelined flush path — cf. HBase's multi-put). All
-/// slices share the sender, so network faults and partitions are evaluated
-/// once for the whole frame, while each slice keeps its own per-slice
-/// outcome (a region move can make one slice retryable without failing the
-/// rest).
+/// single RPC (cf. HBase's multi-put). All slices share the sender, so
+/// network faults and partitions are evaluated once for the whole frame,
+/// while each slice keeps its own per-slice outcome (a region move can
+/// make one slice retryable without failing the rest).
 struct BatchApplyRequest {
   std::vector<ApplyRequest> slices;
 };
@@ -140,18 +139,19 @@ class RegionServer {
 
   // --- RPC surface ---------------------------------------------------------
 
-  /// Receive a write-set slice (Algorithm 3 "On receive"): append to the WAL
-  /// (possibly syncing, per mode), apply to the memstores of the covered
-  /// regions, notify the write-set observer, and return.
-  TFR_BLOCKING Status apply_writeset(const ApplyRequest& req);
-
-  /// Receive a batch of write-set slices in one RPC: one network round-trip
-  /// and one handler slot for the whole frame, then each slice runs the
-  /// same WAL-append/apply/observe pipeline as apply_writeset. Returns one
-  /// Status per slice (same order); a transport-level error (partition,
-  /// injected loss, frame corruption, dropped ack) fails the whole batch as
-  /// Unavailable and the client re-sends — reapplication is idempotent.
+  /// Receive a batch of write-set slices in one RPC (Algorithm 3 "On
+  /// receive"): one network round-trip and one handler slot for the whole
+  /// frame, then each slice is appended to the WAL (possibly syncing, per
+  /// mode), applied to the memstores of the covered regions, and reported
+  /// to the write-set observer. Returns one Status per slice (same order);
+  /// a transport-level error (partition, injected loss, frame corruption,
+  /// dropped ack) fails the whole batch as Unavailable and the client
+  /// re-sends — reapplication is idempotent. A slice that fails because the
+  /// server crashed under it is reported as Unavailable too.
   TFR_BLOCKING Result<std::vector<Status>> apply_batch(const BatchApplyRequest& batch);
+
+  /// apply_batch for a single slice.
+  TFR_BLOCKING Status apply_writeset(const ApplyRequest& req);
 
   /// `caller` (when non-empty) is the requesting node's id, matched against
   /// partition rules (see common/fault.h).
@@ -272,9 +272,9 @@ class RegionServer {
   }
 
  private:
-  /// The post-transport core of apply_writeset: WAL-append, apply to
-  /// memstores, observe. Caller has decoded the request, checked liveness,
-  /// and holds a handler slot.
+  /// The per-slice core of apply_batch: WAL-append, apply to memstores,
+  /// observe. Caller has decoded the request, checked liveness, and holds
+  /// a handler slot.
   Status apply_decoded(const ApplyRequest& req);
   void heartbeat_tick();
   /// Publish the per-server load report + per-region traffic gauges.

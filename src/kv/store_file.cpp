@@ -8,15 +8,14 @@
 namespace tfr {
 
 namespace {
-constexpr std::uint32_t kMagicV1 = 0x7f5bf11e;
+constexpr std::uint32_t kFormatVersion = 2;
 constexpr std::uint32_t kMagicV2 = 0x7f5bf22e;
-constexpr std::size_t kFooterSizeV1 = 8 + 8 + 8 + 4;
 constexpr std::size_t kFooterSizeV2 = 8 + 8 + 8 + 8 + 8 + 4 + 4;
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 }  // namespace
 
-StoreFileWriter::StoreFileWriter(std::size_t target_block_bytes, int format_version)
-    : target_block_bytes_(target_block_bytes), format_version_(format_version) {}
+StoreFileWriter::StoreFileWriter(std::size_t target_block_bytes)
+    : target_block_bytes_(target_block_bytes) {}
 
 void StoreFileWriter::add(const Cell& cell) {
   // Rotate only between rows: a (row, column) version chain must never
@@ -71,15 +70,6 @@ Status StoreFileWriter::finish(Dfs& dfs, const std::string& path) {
   }
   file_data_ += index_data;
 
-  if (format_version_ == 1) {
-    Encoder fenc(&file_data_);
-    fenc.put_u64(index_offset);
-    fenc.put_u64(index_data.size());
-    fenc.put_i64(max_ts_);
-    fenc.put_u32(kMagicV1);
-    return dfs.write_file(path, file_data_);
-  }
-
   const std::uint64_t meta_offset = file_data_.size();
   std::string meta_data;
   Encoder menc(&meta_data);
@@ -96,7 +86,7 @@ Status StoreFileWriter::finish(Dfs& dfs, const std::string& path) {
   fenc.put_u64(meta_offset);
   fenc.put_u64(meta_data.size());
   fenc.put_i64(max_ts_);
-  fenc.put_u32(static_cast<std::uint32_t>(format_version_));
+  fenc.put_u32(kFormatVersion);
   fenc.put_u32(kMagicV2);
   return dfs.write_file(path, file_data_);
 }
@@ -112,50 +102,26 @@ StoreFileReader::~StoreFileReader() {
 Result<std::shared_ptr<StoreFileReader>> StoreFileReader::open(Dfs& dfs, std::string path) {
   auto size = dfs.durable_size(path);
   if (!size.is_ok()) return size.status();
-  if (size.value() < kFooterSizeV1) return Status::corruption("store file too small: " + path);
+  if (size.value() < kFooterSizeV2) return Status::corruption("store file too small: " + path);
 
-  // One tail read covers either footer; the magic in the last 4 bytes says
-  // which format we're looking at.
-  const std::uint64_t tail_len = std::min<std::uint64_t>(size.value(), kFooterSizeV2);
-  auto tail = dfs.read(path, size.value() - tail_len, tail_len);
+  auto tail = dfs.read(path, size.value() - kFooterSizeV2, kFooterSizeV2);
   if (!tail.is_ok()) return tail.status();
-  std::uint32_t magic = 0;
-  {
-    Decoder mdec(std::string_view(tail.value()).substr(tail.value().size() - 4));
-    TFR_RETURN_IF_ERROR(mdec.get_u32(&magic));
-  }
-
   auto reader = std::shared_ptr<StoreFileReader>(new StoreFileReader(dfs, std::move(path)));
   std::uint64_t index_offset = 0, index_length = 0;
   std::uint64_t meta_offset = 0, meta_length = 0;
-
-  if (magic == kMagicV2) {
-    if (tail.value().size() < kFooterSizeV2) {
-      return Status::corruption("v2 store file too small: " + reader->path_);
-    }
-    Decoder fdec(std::string_view(tail.value()).substr(tail.value().size() - kFooterSizeV2));
-    std::uint32_t version = 0;
-    TFR_RETURN_IF_ERROR(fdec.get_u64(&index_offset));
-    TFR_RETURN_IF_ERROR(fdec.get_u64(&index_length));
-    TFR_RETURN_IF_ERROR(fdec.get_u64(&meta_offset));
-    TFR_RETURN_IF_ERROR(fdec.get_u64(&meta_length));
-    TFR_RETURN_IF_ERROR(fdec.get_i64(&reader->max_ts_));
-    TFR_RETURN_IF_ERROR(fdec.get_u32(&version));
-    if (version != 2) {
-      return Status::corruption("unsupported store file version " + std::to_string(version) +
-                                ": " + reader->path_);
-    }
-    reader->format_version_ = 2;
-  } else if (magic == kMagicV1) {
-    Decoder fdec(std::string_view(tail.value()).substr(tail.value().size() - kFooterSizeV1));
-    std::uint32_t v1_magic = 0;
-    TFR_RETURN_IF_ERROR(fdec.get_u64(&index_offset));
-    TFR_RETURN_IF_ERROR(fdec.get_u64(&index_length));
-    TFR_RETURN_IF_ERROR(fdec.get_i64(&reader->max_ts_));
-    TFR_RETURN_IF_ERROR(fdec.get_u32(&v1_magic));
-    reader->format_version_ = 1;
-  } else {
-    return Status::corruption("bad store file magic: " + reader->path_);
+  std::uint32_t version = 0, magic = 0;
+  Decoder fdec(tail.value());
+  TFR_RETURN_IF_ERROR(fdec.get_u64(&index_offset));
+  TFR_RETURN_IF_ERROR(fdec.get_u64(&index_length));
+  TFR_RETURN_IF_ERROR(fdec.get_u64(&meta_offset));
+  TFR_RETURN_IF_ERROR(fdec.get_u64(&meta_length));
+  TFR_RETURN_IF_ERROR(fdec.get_i64(&reader->max_ts_));
+  TFR_RETURN_IF_ERROR(fdec.get_u32(&version));
+  TFR_RETURN_IF_ERROR(fdec.get_u32(&magic));
+  if (magic != kMagicV2) return Status::corruption("bad store file magic: " + reader->path_);
+  if (version != kFormatVersion) {
+    return Status::corruption("unsupported store file version " + std::to_string(version) +
+                              ": " + reader->path_);
   }
 
   auto index_data = dfs.read(reader->path_, index_offset, index_length);
@@ -170,40 +136,32 @@ Result<std::shared_ptr<StoreFileReader>> StoreFileReader::open(Dfs& dfs, std::st
     TFR_RETURN_IF_ERROR(idec.get_u64(&e.length));
   }
 
-  if (reader->format_version_ == 2) {
-    auto meta_data = dfs.read(reader->path_, meta_offset, meta_length);
-    if (!meta_data.is_ok()) return meta_data.status();
-    Decoder mdec(meta_data.value());
-    std::uint32_t probes = 0;
-    std::string bloom_bits;
-    TFR_RETURN_IF_ERROR(mdec.get_string(&reader->first_row_));
-    TFR_RETURN_IF_ERROR(mdec.get_string(&reader->last_row_));
-    TFR_RETURN_IF_ERROR(mdec.get_u32(&probes));
-    TFR_RETURN_IF_ERROR(mdec.get_string(&bloom_bits));
-    reader->bloom_ = BloomFilter::from_parts(std::move(bloom_bits), static_cast<int>(probes));
-    reader->has_key_range_ = !reader->index_.empty();
-  }
+  auto meta_data = dfs.read(reader->path_, meta_offset, meta_length);
+  if (!meta_data.is_ok()) return meta_data.status();
+  Decoder mdec(meta_data.value());
+  std::uint32_t probes = 0;
+  std::string bloom_bits;
+  TFR_RETURN_IF_ERROR(mdec.get_string(&reader->first_row_));
+  TFR_RETURN_IF_ERROR(mdec.get_string(&reader->last_row_));
+  TFR_RETURN_IF_ERROR(mdec.get_u32(&probes));
+  TFR_RETURN_IF_ERROR(mdec.get_string(&bloom_bits));
+  reader->bloom_ = BloomFilter::from_parts(std::move(bloom_bits), static_cast<int>(probes));
   return reader;
 }
 
 bool StoreFileReader::range_overlaps(const std::string& start, const std::string& end) const {
-  if (!has_key_range_ || !read_path_flags().range_pruning.load(std::memory_order_relaxed)) {
-    return true;
-  }
+  if (!has_key_range()) return true;
   if (!end.empty() && first_row_ >= end) return false;
   return last_row_ >= start;
 }
 
 bool StoreFileReader::may_contain_row(const std::string& row) const {
-  const auto& flags = read_path_flags();
-  if (has_key_range_ && flags.range_pruning.load(std::memory_order_relaxed) &&
-      (row < first_row_ || row > last_row_)) {
+  if (has_key_range() && (row < first_row_ || row > last_row_)) {
     static Counter& range_skips = global_counter("kv.sf_range_skips");
     range_skips.add();
     return false;
   }
-  if (flags.bloom_pruning.load(std::memory_order_relaxed) && !bloom_.empty() &&
-      !bloom_.may_contain(row)) {
+  if (!bloom_.empty() && !bloom_.may_contain(row)) {
     static Counter& bloom_skips = global_counter("kv.sf_bloom_skips");
     bloom_skips.add();
     return false;
@@ -352,40 +310,6 @@ Result<std::unique_ptr<CellIterator>> StoreFileReader::iterate(BlockCache& cache
   auto it = std::make_unique<StoreFileIterator>(this, &cache, end);
   TFR_RETURN_IF_ERROR(it->init(start));
   return std::unique_ptr<CellIterator>(std::move(it));
-}
-
-Result<std::vector<Cell>> StoreFileReader::scan(BlockCache& cache, const std::string& start,
-                                                const std::string& end,
-                                                Timestamp read_ts) const {
-  std::vector<Cell> out;
-  if (index_.empty()) return out;
-  std::size_t idx = block_for(start);
-  if (idx == kNpos) idx = 0;
-  for (; idx < index_.size(); ++idx) {
-    if (!end.empty() && index_[idx].first_row >= end) break;
-    auto block = cached_block(cache, idx);
-    if (!block.is_ok()) return block.status();
-    const auto& cells = block.value()->cells;
-    for (std::size_t i = 0; i < cells.size();) {
-      const Cell& c = cells[i];
-      if (c.row < start || (!end.empty() && c.row >= end)) {
-        ++i;
-        continue;
-      }
-      // Newest visible version of this (row, column); skip older ones.
-      bool taken = false;
-      const std::string& row = c.row;
-      const std::string& col = c.column;
-      while (i < cells.size() && cells[i].row == row && cells[i].column == col) {
-        if (!taken && cells[i].ts <= read_ts) {
-          out.push_back(cells[i]);
-          taken = true;
-        }
-        ++i;
-      }
-    }
-  }
-  return out;
 }
 
 Result<std::vector<Cell>> StoreFileReader::all_cells(BlockCache& cache) const {

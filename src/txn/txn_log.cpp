@@ -1,7 +1,6 @@
 #include "src/txn/txn_log.h"
 
 #include <algorithm>
-#include <functional>
 
 #include "src/common/logging.h"
 #include "src/common/metrics.h"
@@ -11,22 +10,14 @@ namespace tfr {
 TxnLog::TxnLog(TxnLogConfig config)
     : config_(config),
       gc_task_([this] { gc_now(); }, config.gc_interval > 0 ? config.gc_interval : millis(20)) {
-  const int lanes = std::max(1, config.lanes);
-  lanes_.reserve(static_cast<std::size_t>(lanes));
-  for (int i = 0; i < lanes; ++i) {
-    auto lane = std::make_unique<Lane>();
-    lane->sync_model.set(config.sync_latency, config.sync_jitter);
-    lane->segments.emplace_back();  // the initial active segment
-    lanes_.push_back(std::move(lane));
-  }
-  for (auto& lane : lanes_) {
-    lane->appender = std::thread([this, lane = lane.get()] { appender_loop(*lane); });
-  }
+  sync_model_.set(config.sync_latency, config.sync_jitter);
   {
     MutexLock lock(mutex_);
-    stats_.segments = static_cast<std::int64_t>(lanes_.size());
+    segments_.emplace_back();  // the initial active segment
+    stats_.segments = 1;
     export_gauges_locked();
   }
+  appender_ = std::thread([this] { appender_loop(); });
   if (config.gc_interval > 0) gc_task_.start();
 }
 
@@ -36,11 +27,9 @@ TxnLog::~TxnLog() {
     MutexLock lock(mutex_);
     stop_ = true;
   }
-  for (auto& lane : lanes_) lane->work_cv.notify_all();
+  work_cv_.notify_all();
   done_cv_.notify_all();
-  for (auto& lane : lanes_) {
-    if (lane->appender.joinable()) lane->appender.join();
-  }
+  if (appender_.joinable()) appender_.join();
 }
 
 Status TxnLog::append(WriteSet ws) {
@@ -48,30 +37,27 @@ Status TxnLog::append(WriteSet ws) {
   if (ws.commit_ts == kNoTimestamp) {
     return Status::invalid_argument("write-set has no commit timestamp");
   }
-  // Route by client: a client's commits serialize through one logging node,
-  // different clients' batches overlap across lanes.
-  Lane& lane = *lanes_[std::hash<std::string>{}(ws.client_id) % lanes_.size()];
   auto pending = std::make_shared<Pending>();
   pending->ws = std::move(ws);
   {
     MutexLock lock(mutex_);
-    lane.queue.push_back(pending);
-    lane.work_cv.notify_one();
+    queue_.push_back(pending);
+    work_cv_.notify_one();
     while (!pending->done && !stop_) done_cv_.wait(lock);
     if (!pending->done) return Status::closed("txn log shut down");
   }
   return Status::ok();
 }
 
-void TxnLog::insert_locked(Lane& lane, WriteSet ws) {
-  Segment* active = &lane.segments.back();
+void TxnLog::insert_locked(WriteSet ws) {
+  Segment* active = &segments_.back();
   if (active->sealed || active->records.size() >= config_.segment_records) {
     // Seal and open a fresh active segment. index_ts inherits the running
-    // max so the per-lane index stays monotone even if a straggler commit
-    // landed out of order across the boundary.
+    // max so the index stays monotone even if a straggler commit landed
+    // out of order across the boundary.
     active->sealed = true;
-    lane.segments.emplace_back();
-    Segment& fresh = lane.segments.back();
+    segments_.emplace_back();
+    Segment& fresh = segments_.back();
     fresh.index_ts = active->index_ts;
     active = &fresh;
     ++stats_.segments;
@@ -95,7 +81,7 @@ void TxnLog::insert_locked(Lane& lane, WriteSet ws) {
   }
 }
 
-void TxnLog::appender_loop(Lane& lane) {
+void TxnLog::appender_loop() {
   static Histogram& batch_hist = global_histogram("log.batch_size");
   static Histogram& sync_hist = global_histogram("log.sync_wait");
   for (;;) {
@@ -103,43 +89,43 @@ void TxnLog::appender_loop(Lane& lane) {
     bool waited = false;
     {
       MutexLock lock(mutex_);
-      while (lane.queue.empty() && !stop_) lane.work_cv.wait(lock);
+      while (queue_.empty() && !stop_) work_cv_.wait(lock);
       if (stop_) return;
-      if (config_.adaptive && lane.queue.size() < config_.max_batch &&
-          static_cast<double>(lane.queue.size()) < lane.ewma_batch) {
+      if (queue_.size() < config_.max_batch &&
+          static_cast<double>(queue_.size()) < ewma_batch_) {
         // The queue at wake is shallower than the recent batch size: more
         // appenders are likely mid-flight, so hold the sync briefly to let
         // them join. The window is worth at most half a sync — beyond that
         // the wait costs more than the sync it would save.
         const Micros window =
-            std::min(static_cast<Micros>(lane.ewma_sync_us / 2), config_.max_group_wait);
+            std::min(static_cast<Micros>(ewma_sync_us_ / 2), config_.max_group_wait);
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::microseconds(window);
-        while (!stop_ && lane.queue.size() < config_.max_batch &&
-               static_cast<double>(lane.queue.size()) < lane.ewma_batch) {
+        while (!stop_ && queue_.size() < config_.max_batch &&
+               static_cast<double>(queue_.size()) < ewma_batch_) {
           waited = true;
-          if (!lane.work_cv.wait_until(lock, deadline)) break;
+          if (!work_cv_.wait_until(lock, deadline)) break;
         }
         if (stop_) return;
       }
-      const std::size_t take = std::min(lane.queue.size(), config_.max_batch);
-      batch.assign(lane.queue.begin(), lane.queue.begin() + static_cast<std::ptrdiff_t>(take));
-      lane.queue.erase(lane.queue.begin(), lane.queue.begin() + static_cast<std::ptrdiff_t>(take));
+      const std::size_t take = std::min(queue_.size(), config_.max_batch);
+      batch.assign(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(take));
+      queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(take));
     }
-    // One stable-storage write for the whole batch (group commit). Lanes
-    // overlap here: this sleep happens outside the shared mutex.
+    // One stable-storage write for the whole batch (group commit), outside
+    // the mutex so new appends queue up for the next batch meanwhile.
     const Micros sync_start = now_micros();
-    lane.sync_model.charge();
+    sync_model_.charge();
     const Micros sync_us = now_micros() - sync_start;
     batch_hist.record(static_cast<Micros>(batch.size()));
     sync_hist.record(sync_us);
     {
       MutexLock lock(mutex_);
       // EWMAs react in a few batches but smooth over jitter (alpha = 1/4).
-      lane.ewma_sync_us += (static_cast<double>(sync_us) - lane.ewma_sync_us) / 4;
-      lane.ewma_batch += (static_cast<double>(batch.size()) - lane.ewma_batch) / 4;
+      ewma_sync_us_ += (static_cast<double>(sync_us) - ewma_sync_us_) / 4;
+      ewma_batch_ += (static_cast<double>(batch.size()) - ewma_batch_) / 4;
       for (auto& p : batch) {
-        insert_locked(lane, std::move(p->ws));
+        insert_locked(std::move(p->ws));
         p->done = true;
         ++stats_.appends;
       }
@@ -151,46 +137,36 @@ void TxnLog::appender_loop(Lane& lane) {
   }
 }
 
+std::deque<TxnLog::Segment>::const_iterator TxnLog::first_segment_after(Timestamp after) const {
+  // index_ts is the monotone running max, so every segment before the
+  // partition point holds only records <= after and is skipped without
+  // touching its map.
+  return std::partition_point(segments_.begin(), segments_.end(),
+                              [after](const Segment& seg) { return seg.index_ts <= after; });
+}
+
 std::vector<WriteSet> TxnLog::fetch_after(Timestamp after_ts) const {
-  MutexLock lock(mutex_);
-  const Timestamp after = std::max(after_ts, floor_);
-  std::vector<WriteSet> out;
-  for (const auto& lane : lanes_) {
-    // Binary-search the segment index: index_ts is the monotone running max
-    // per lane, so every segment before the partition point holds only
-    // records <= after and is skipped without touching its map.
-    const auto first = std::partition_point(
-        lane->segments.begin(), lane->segments.end(),
-        [after](const Segment& seg) { return seg.index_ts <= after; });
-    for (auto seg = first; seg != lane->segments.end(); ++seg) {
-      for (auto it = seg->records.upper_bound(after); it != seg->records.end(); ++it) {
-        out.push_back(it->second);
-      }
-    }
-  }
-  std::sort(out.begin(), out.end(),
-            [](const WriteSet& a, const WriteSet& b) { return a.commit_ts < b.commit_ts; });
-  return out;
+  return collect_after(after_ts, nullptr);
 }
 
 std::vector<WriteSet> TxnLog::fetch_client_after(const std::string& client_id,
                                                  Timestamp after_ts) const {
+  return collect_after(after_ts, &client_id);
+}
+
+std::vector<WriteSet> TxnLog::collect_after(Timestamp after_ts,
+                                            const std::string* client_id) const {
   MutexLock lock(mutex_);
   const Timestamp after = std::max(after_ts, floor_);
   std::vector<WriteSet> out;
-  // Client routing pins every record of `client_id` to one lane, but stay
-  // agnostic to the routing function and scan all lanes' indexes — the
-  // skip-by-index bound is what matters.
-  for (const auto& lane : lanes_) {
-    const auto first = std::partition_point(
-        lane->segments.begin(), lane->segments.end(),
-        [after](const Segment& seg) { return seg.index_ts <= after; });
-    for (auto seg = first; seg != lane->segments.end(); ++seg) {
-      for (auto it = seg->records.upper_bound(after); it != seg->records.end(); ++it) {
-        if (it->second.client_id == client_id) out.push_back(it->second);
+  for (auto seg = first_segment_after(after); seg != segments_.end(); ++seg) {
+    for (auto it = seg->records.upper_bound(after); it != seg->records.end(); ++it) {
+      if (client_id == nullptr || it->second.client_id == *client_id) {
+        out.push_back(it->second);
       }
     }
   }
+  // A boundary straggler can sit in a later segment than a newer commit.
   std::sort(out.begin(), out.end(),
             [](const WriteSet& a, const WriteSet& b) { return a.commit_ts < b.commit_ts; });
   return out;
@@ -203,19 +179,13 @@ void TxnLog::truncate_through(Timestamp up_to) {
   // advance the floor. Each record is visited by this loop at most once
   // across the log's lifetime, so truncation stays amortized O(1) per
   // record no matter how often the RM checkpoints.
-  const Timestamp old_floor = floor_;
-  for (const auto& lane : lanes_) {
-    const auto first = std::partition_point(
-        lane->segments.begin(), lane->segments.end(),
-        [old_floor](const Segment& seg) { return seg.index_ts <= old_floor; });
-    for (auto seg = first; seg != lane->segments.end(); ++seg) {
-      const auto begin = seg->records.upper_bound(old_floor);
-      const auto end = seg->records.upper_bound(up_to);
-      for (auto it = begin; it != end; ++it) {
-        ++stats_.truncated;
-        --stats_.live_records;
-        stats_.live_bytes -= static_cast<std::int64_t>(it->second.byte_size());
-      }
+  for (auto seg = first_segment_after(floor_); seg != segments_.end(); ++seg) {
+    const auto begin = seg->records.upper_bound(floor_);
+    const auto end = seg->records.upper_bound(up_to);
+    for (auto it = begin; it != end; ++it) {
+      ++stats_.truncated;
+      --stats_.live_records;
+      stats_.live_bytes -= static_cast<std::int64_t>(it->second.byte_size());
     }
   }
   floor_ = up_to;
@@ -229,33 +199,30 @@ void TxnLog::gc_now() {
 
 void TxnLog::gc_locked() {
   static Counter& reclaimed = global_counter("log.gc_bytes_reclaimed");
-  for (const auto& lane : lanes_) {
-    // Seal an oversized active segment even if appends paused, so an idle
-    // lane's tail still becomes GC-eligible.
-    Segment& active = lane->segments.back();
-    if (!active.sealed && active.records.size() >= config_.segment_records) {
-      active.sealed = true;
-      lane->segments.emplace_back();
-      lane->segments.back().index_ts = active.index_ts;
-      ++stats_.segments;
-    }
-    // Delete whole sealed segments strictly below the floor (Algorithm 4).
-    // Oldest-first; stop at the first survivor — a later segment's own max
-    // can in principle dip below an earlier one's (boundary straggler), but
-    // retaining it until the front drains keeps the index intact and costs
-    // at most one segment of slack.
-    while (lane->segments.size() > 1 && lane->segments.front().sealed &&
-           lane->segments.front().max_ts <= floor_) {
-      Segment& dead = lane->segments.front();
-      stats_.retained_records -= static_cast<std::int64_t>(dead.records.size());
-      stats_.retained_bytes -= static_cast<std::int64_t>(dead.bytes);
-      ++stats_.gc_segments;
-      stats_.gc_bytes_reclaimed += static_cast<std::int64_t>(dead.bytes);
-      reclaimed.add(static_cast<std::int64_t>(dead.bytes));
-      --stats_.segments;
-      gc_watermark_ = std::max(gc_watermark_, dead.max_ts);
-      lane->segments.pop_front();
-    }
+  // Seal an oversized active segment even if appends paused, so an idle
+  // log's tail still becomes GC-eligible.
+  Segment& active = segments_.back();
+  if (!active.sealed && active.records.size() >= config_.segment_records) {
+    active.sealed = true;
+    segments_.emplace_back();
+    segments_.back().index_ts = active.index_ts;
+    ++stats_.segments;
+  }
+  // Delete whole sealed segments strictly below the floor (Algorithm 4).
+  // Oldest-first; stop at the first survivor — a later segment's own max
+  // can in principle dip below an earlier one's (boundary straggler), but
+  // retaining it until the front drains keeps the index intact and costs
+  // at most one segment of slack.
+  while (segments_.size() > 1 && segments_.front().sealed && segments_.front().max_ts <= floor_) {
+    Segment& dead = segments_.front();
+    stats_.retained_records -= static_cast<std::int64_t>(dead.records.size());
+    stats_.retained_bytes -= static_cast<std::int64_t>(dead.bytes);
+    ++stats_.gc_segments;
+    stats_.gc_bytes_reclaimed += static_cast<std::int64_t>(dead.bytes);
+    reclaimed.add(static_cast<std::int64_t>(dead.bytes));
+    --stats_.segments;
+    gc_watermark_ = std::max(gc_watermark_, dead.max_ts);
+    segments_.pop_front();
   }
   export_gauges_locked();
 }

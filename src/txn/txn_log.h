@@ -6,26 +6,24 @@
 //
 // The paper's logging sub-component "supports group commit, has access to
 // its own high performance stable storage, and can be distributed across
-// several nodes should one logging node not be sufficient" (§4.1). All
-// three are implemented:
+// several nodes should one logging node not be sufficient" (§4.1). The
+// first two are implemented:
 //
 //   * group commit — appenders block until their record is durable; a
 //     dedicated appender thread batches all waiting records into a single
-//     stable-storage write, charging the sync latency once per batch;
-//   * configurable stable-storage latency;
-//   * distribution — `lanes` independent logging nodes, each with its own
-//     appender and stable storage; appends are routed by client so the
-//     lanes' storage writes overlap. fetch/truncate present the union, in
-//     commit order, regardless of which lane holds a record.
+//     stable-storage write, charging the sync latency once per batch. When
+//     it wakes to a queue shallower than the recent batch size it holds the
+//     write for a short accumulation window so stragglers join the batch;
+//   * configurable stable-storage latency.
 //
-// Storage is organised as commit-timestamp-ordered *segments* per lane
+// Storage is organised as commit-timestamp-ordered *segments*
 // (DESIGN.md §8). The active segment absorbs appends until it reaches
 // `segment_records`, then seals and a fresh one opens. Truncation
 // (Algorithm 4) is logical: `truncate_through(TP)` advances a floor that
 // fetch filters against, so record-granular semantics are exact; physical
 // reclamation is segment-granular and asynchronous — a background GC pass
 // deletes whole sealed segments whose every record sits at or below the
-// floor. Segment max-timestamps form a monotone index per lane, so fetch
+// floor. Segment max-timestamps form a monotone index, so fetch
 // binary-searches to the first segment that can contain a survivor instead
 // of scanning all retained records.
 //
@@ -57,22 +55,18 @@ struct TxnLogConfig {
   Micros sync_latency = 0;  ///< stable-storage write per group-commit batch
   Micros sync_jitter = 0;
   std::size_t max_batch = 256;  ///< cap on write-sets per batch
-  int lanes = 1;  ///< independent logging nodes (paper §4.1)
 
-  /// Adaptive group commit: when an appender wakes to a queue shallower than
-  /// the recent batch size, it holds the stable-storage write for a short
-  /// accumulation window — bounded by half the observed sync latency and by
-  /// `max_group_wait` — so stragglers join the batch instead of paying a sync
-  /// of their own. With `adaptive = false` every wake syncs immediately (the
-  /// legacy fixed-batch behaviour, kept flag-selectable for the bench A/B).
-  /// Batch sizes and sync waits are exported as the `log.batch_size` /
-  /// `log.sync_wait` global histograms either way.
-  bool adaptive = true;
-  Micros max_group_wait = millis(2);  ///< hard cap on the accumulation window
+  /// Group-commit accumulation window: when the appender wakes to a queue
+  /// shallower than the recent batch size, it holds the stable-storage write
+  /// — for at most half the observed sync latency and at most this cap — so
+  /// stragglers join the batch instead of paying a sync of their own. Batch
+  /// sizes and sync waits are exported as the `log.batch_size` /
+  /// `log.sync_wait` global histograms.
+  Micros max_group_wait = millis(2);
 
-  /// Records per lane segment before the active segment seals. Small enough
+  /// Records per segment before the active segment seals. Small enough
   /// that the retained suffix above TP spans few partially-dead segments,
-  /// large enough that the per-lane segment index stays short.
+  /// large enough that the segment index stays short.
   std::size_t segment_records = 512;
   /// Background GC cadence; 0 disables the thread (physical reclamation then
   /// happens only inline on truncate_through / gc_now, which tests use for
@@ -86,11 +80,11 @@ struct TxnLogStats {
   std::int64_t truncated = 0;     ///< records logically below the floor
   std::int64_t live_records = 0;  ///< records above the floor (replayable)
   std::int64_t live_bytes = 0;
-  std::int64_t group_waits = 0;  ///< batches that held for the adaptive window
+  std::int64_t group_waits = 0;  ///< batches that held for the accumulation window
   // Physical (segment) view: retained = still occupying memory, whether or
   // not logically truncated; GC moves retained -> reclaimed a whole sealed
   // segment at a time.
-  std::int64_t segments = 0;          ///< live segments across all lanes
+  std::int64_t segments = 0;          ///< live segments
   std::int64_t retained_records = 0;  ///< records still held in segments
   std::int64_t retained_bytes = 0;
   std::int64_t gc_segments = 0;        ///< sealed segments physically deleted
@@ -135,7 +129,6 @@ class TxnLog {
   Timestamp gc_watermark() const;
 
   TxnLogStats stats() const;
-  int lanes() const { return static_cast<int>(lanes_.size()); }
 
  private:
   struct Pending {
@@ -145,9 +138,9 @@ class TxnLog {
 
   /// One commit-timestamp-ordered slab of records. `index_ts` is the
   /// running max of commit timestamps across this and all earlier segments
-  /// of the lane — monotone by construction, so the lane's segment deque
-  /// can be binary-searched by threshold. `max_ts` is the segment's own
-  /// max, the exact GC-eligibility bound.
+  /// — monotone by construction even though appends arrive out of commit-ts
+  /// order, so the segment deque can be binary-searched by threshold.
+  /// `max_ts` is the segment's own max, the exact GC-eligibility bound.
   struct Segment {
     std::map<Timestamp, WriteSet> records;
     Timestamp max_ts = kNoTimestamp;
@@ -156,37 +149,36 @@ class TxnLog {
     bool sealed = false;
   };
 
-  // Lane state is guarded by the shared mutex_ (TSA cannot name an outer
-  // member from a nested struct, so the queue carries no annotation).
-  struct Lane {
-    CondVar work_cv;
-    std::vector<std::shared_ptr<Pending>> queue;
-    std::thread appender;
-    LatencyModel sync_model;
-    // Oldest-first; back() is the active segment (never GC'd).
-    std::deque<Segment> segments;
-    // Adaptive group-commit state (touched only by this lane's appender,
-    // under mutex_): exponential averages of the observed sync latency and
-    // batch size that size the accumulation window.
-    double ewma_sync_us = 0;
-    double ewma_batch = 1;
-  };
-
-  void appender_loop(Lane& lane);
-  void insert_locked(Lane& lane, WriteSet ws) TFR_REQUIRES(mutex_);
+  void appender_loop();
+  void insert_locked(WriteSet ws) TFR_REQUIRES(mutex_);
+  /// Segments that can hold a record with commit_ts > after: the suffix
+  /// starting at the first segment whose index_ts exceeds it.
+  std::deque<Segment>::const_iterator first_segment_after(Timestamp after) const
+      TFR_REQUIRES(mutex_);
+  /// fetch_after / fetch_client_after; a null `client_id` matches all.
+  std::vector<WriteSet> collect_after(Timestamp after_ts, const std::string* client_id) const;
   void gc_locked() TFR_REQUIRES(mutex_);
   void export_gauges_locked() TFR_REQUIRES(mutex_);
 
   TxnLogConfig config_;
+  LatencyModel sync_model_;  // touched only by the appender thread
 
-  mutable RankedMutex<LockRank::kTxnLog> mutex_{"txn_log"};  // queues + segments + stats
+  mutable RankedMutex<LockRank::kTxnLog> mutex_{"txn_log"};  // queue + segments + stats
+  CondVar work_cv_;  // the appender waits for queued records
   CondVar done_cv_;  // clients wait for durability
   bool stop_ TFR_GUARDED_BY(mutex_) = false;
+  std::vector<std::shared_ptr<Pending>> queue_ TFR_GUARDED_BY(mutex_);
+  // Oldest-first; back() is the active segment (never GC'd).
+  std::deque<Segment> segments_ TFR_GUARDED_BY(mutex_);
+  // Exponential averages of the observed sync latency and batch size that
+  // size the accumulation window.
+  double ewma_sync_us_ TFR_GUARDED_BY(mutex_) = 0;
+  double ewma_batch_ TFR_GUARDED_BY(mutex_) = 1;
   TxnLogStats stats_ TFR_GUARDED_BY(mutex_);
   Timestamp floor_ TFR_GUARDED_BY(mutex_) = kNoTimestamp;  // truncate_through high-water
   Timestamp gc_watermark_ TFR_GUARDED_BY(mutex_) = kNoTimestamp;
 
-  std::vector<std::unique_ptr<Lane>> lanes_;
+  std::thread appender_;
   PeriodicTask gc_task_;
 };
 

@@ -211,5 +211,63 @@ TEST_F(ServerRecoveryTest, SplitWalEditsCombineWithTmLogReplay) {
   verify_rows(0, 40);
 }
 
+TEST(ServerCrashDuringApplyTest, WriteSetStillReachesSurvivingServer) {
+  // A participant crashes while a flush slice is inside its apply: the
+  // service time below keeps the slice between admission and WAL append
+  // long enough for the crash to land there, so the append hits the WAL the
+  // crash just closed. The client must treat that as the crash it is and
+  // keep retrying — never drop the write-set — so the slice bound for the
+  // surviving server arrives and TF(c) advances past the commit.
+  TestbedConfig cfg = fast_test_config(3, 1);
+  cfg.cluster.server.write_service = millis(80);
+  Testbed bed(cfg);
+  ASSERT_TRUE(bed.start().is_ok());
+  ASSERT_TRUE(bed.create_table("t", 3000, 6).is_ok());
+
+  RegionServer& victim = bed.cluster().server(0);
+  RegionServer& survivor = bed.cluster().server(1);
+  // The victim's id sorts first, so its slice is sent before the survivor's.
+  ASSERT_LT(victim.id(), survivor.id());
+  auto row_on = [&](const std::string& server_id) {
+    for (std::uint64_t i = 0; i < 3000; i += 100) {
+      auto loc = bed.master().locate("t", Testbed::row_key(i));
+      if (loc.is_ok() && loc.value().server_id == server_id) return Testbed::row_key(i);
+    }
+    return std::string();
+  };
+  const std::string victim_row = row_on(victim.id());
+  const std::string survivor_row = row_on(survivor.id());
+  ASSERT_FALSE(victim_row.empty());
+  ASSERT_FALSE(survivor_row.empty());
+
+  Transaction txn = bed.client().begin("t");
+  txn.put(victim_row, "c", "on-victim");
+  txn.put(survivor_row, "c", "on-survivor");
+  auto committed = txn.commit();
+  ASSERT_TRUE(committed.is_ok());
+  const Timestamp ts = committed.value();
+
+  sleep_millis(30);  // the flusher's victim slice is now in its service time
+  bed.crash_server(0);
+
+  ASSERT_TRUE(bed.client().wait_flushed(seconds(20)))
+      << "write-set dropped after the crash; TF(c) stuck at " << bed.client().tf();
+  EXPECT_GE(bed.client().tf(), ts);
+  auto on_survivor = survivor.get("t", survivor_row, "c", ts);
+  ASSERT_TRUE(on_survivor.is_ok()) << on_survivor.status();
+  ASSERT_TRUE(on_survivor.value().has_value()) << "slice never reached " << survivor.id();
+  EXPECT_EQ(on_survivor.value()->value, "on-survivor");
+
+  ASSERT_TRUE(bed.wait_server_recoveries(1));
+  bed.wait_for_recovery();
+  ASSERT_TRUE(bed.wait_stable(ts));
+  Transaction r = bed.client().begin("t");
+  auto a = r.get(victim_row, "c");
+  ASSERT_TRUE(a.is_ok());
+  ASSERT_TRUE(a.value().has_value());
+  EXPECT_EQ(*a.value(), "on-victim");
+  r.abort();
+}
+
 }  // namespace
 }  // namespace tfr

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "src/common/random.h"
+#include "src/kv/cell_iter.h"
 
 namespace tfr {
 namespace {
@@ -10,6 +11,16 @@ namespace {
 Cell make(const std::string& row, const std::string& col, const std::string& val, Timestamp ts,
           bool tomb = false) {
   return Cell{row, col, val, ts, tomb};
+}
+
+/// What a scan of [start, end) at read_ts sees of the memstore alone: its
+/// range snapshot resolved by the read path's visibility driver.
+std::vector<Cell> visible(const Memstore& ms, const std::string& start, const std::string& end,
+                          Timestamp read_ts) {
+  VectorCellIterator it(ms.range_snapshot(start, end));
+  std::vector<Cell> out;
+  EXPECT_TRUE(collect_visible(it, read_ts, 0, &out).is_ok());
+  return out;
 }
 
 TEST(MemstoreTest, GetReturnsNewestVisibleVersion) {
@@ -60,7 +71,13 @@ TEST(MemstoreTest, ScanReturnsNewestPerColumnInRange) {
   ms.apply(make("a", "c", "va2", 2));
   ms.apply(make("b", "c", "vb", 1));
   ms.apply(make("c", "c", "vc", 3));
-  auto cells = ms.scan("a", "c", 10);  // [a, c): excludes row "c"
+  // [a, c): excludes row "c"; every version travels, newest first.
+  auto all = ms.range_snapshot("a", "c");
+  ASSERT_EQ(all.size(), 3u);
+  EXPECT_EQ(all[0].value, "va2");
+  EXPECT_EQ(all[1].value, "va1");
+  EXPECT_EQ(all[2].row, "b");
+  auto cells = visible(ms, "a", "c", 10);
   ASSERT_EQ(cells.size(), 2u);
   EXPECT_EQ(cells[0].row, "a");
   EXPECT_EQ(cells[0].value, "va2");
@@ -71,9 +88,10 @@ TEST(MemstoreTest, ScanRespectsSnapshot) {
   Memstore ms;
   ms.apply(make("a", "c", "old", 1));
   ms.apply(make("a", "c", "new", 100));
-  auto cells = ms.scan("", "", 50);
+  auto cells = visible(ms, "", "", 50);
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0].value, "old");
+  EXPECT_TRUE(visible(ms, "", "", 0).empty());
 }
 
 TEST(MemstoreTest, ScanOpenEndedRange) {
@@ -81,8 +99,8 @@ TEST(MemstoreTest, ScanOpenEndedRange) {
   for (int i = 0; i < 5; ++i) {
     ms.apply(make("row" + std::to_string(i), "c", "v", 1));
   }
-  EXPECT_EQ(ms.scan("row2", "", 10).size(), 3u);
-  EXPECT_EQ(ms.scan("", "", 10).size(), 5u);
+  EXPECT_EQ(ms.range_snapshot("row2", "").size(), 3u);
+  EXPECT_EQ(ms.range_snapshot("", "").size(), 5u);
 }
 
 TEST(MemstoreTest, MultipleColumnsPerRow) {
@@ -91,7 +109,7 @@ TEST(MemstoreTest, MultipleColumnsPerRow) {
   ms.apply(make("r", "c2", "v2", 1));
   EXPECT_EQ(ms.get("r", "c1", 10)->value, "v1");
   EXPECT_EQ(ms.get("r", "c2", 10)->value, "v2");
-  EXPECT_EQ(ms.scan("", "", 10).size(), 2u);
+  EXPECT_EQ(visible(ms, "", "", 10).size(), 2u);
 }
 
 TEST(MemstoreTest, ClearResetsState) {

@@ -1,11 +1,10 @@
 // Randomized read-path property test: a Region under a random schedule of
 // puts, deletes, idempotent write-set replays, memstore flushes and
 // compactions, cross-checked against an in-memory MVCC model on every get
-// and scan. Each scan additionally runs through BOTH read paths — the
-// streaming iterator merge and the legacy materialize-then-merge
-// (read_path_flags().streaming_scan) — and the two must agree cell-for-cell,
-// so the bloom/range pruning and limit-aware early termination can never
-// change a result, only the work done to produce it.
+// and scan, so the bloom/range pruning and the streaming scan's limit-aware
+// early termination can never change a result, only the work done to
+// produce it. (The test name predates the removal of the materializing
+// scan it was once also compared against.)
 //
 // Seeds are fixed for CI; TFR_PROP_SEED=<seed> replays a single seed and
 // TFR_PROP_ITERS=<n> overrides the operation count.
@@ -17,7 +16,6 @@
 #include <vector>
 
 #include "src/common/random.h"
-#include "src/kv/cell_iter.h"
 #include "src/kv/region.h"
 
 namespace tfr {
@@ -88,15 +86,6 @@ void expect_same_cells(const std::vector<Cell>& got, const std::vector<Cell>& wa
   }
 }
 
-/// Restores the global read-path flags (other tests assume the defaults).
-struct FlagsGuard {
-  ~FlagsGuard() {
-    read_path_flags().bloom_pruning.store(true);
-    read_path_flags().range_pruning.store(true);
-    read_path_flags().streaming_scan.store(true);
-  }
-};
-
 class ReadPathPropertyTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ReadPathPropertyTest, ReadsMatchOracleAndLegacyPath) {
@@ -106,7 +95,6 @@ TEST_P(ReadPathPropertyTest, ReadsMatchOracleAndLegacyPath) {
   int iters = 300;
   if (const char* env = std::getenv("TFR_PROP_ITERS")) iters = std::atoi(env);
 
-  FlagsGuard guard;
   Dfs dfs{DfsConfig{}};
   BlockCache cache(1 << 20);
   Region region(RegionDescriptor{"t", "", ""}, dfs, cache, /*store_block_bytes=*/256);
@@ -168,31 +156,19 @@ TEST_P(ReadPathPropertyTest, ReadsMatchOracleAndLegacyPath) {
                                std::to_string(read_ts) + " limit " + std::to_string(limit) +
                                " op " + std::to_string(op);
 
-      read_path_flags().streaming_scan.store(true);
-      auto streamed = region.scan(start, end, read_ts, limit);
-      ASSERT_TRUE(streamed.is_ok()) << what;
-      expect_same_cells(streamed.value(), model_scan(model, start, end, read_ts, limit), what);
+      auto got = region.scan(start, end, read_ts, limit);
+      ASSERT_TRUE(got.is_ok()) << what;
+      expect_same_cells(got.value(), model_scan(model, start, end, read_ts, limit), what);
 
-      // The legacy materializing path must return the identical cells.
-      read_path_flags().streaming_scan.store(false);
-      auto legacy = region.scan(start, end, read_ts, limit);
-      ASSERT_TRUE(legacy.is_ok()) << what;
-      expect_same_cells(legacy.value(), streamed.value(), what + " (legacy)");
-      read_path_flags().streaming_scan.store(true);
-
-      // Pruning off must not change point reads either: spot-check one row.
+      // Spot-check a point read at the scan's snapshot.
       if (rng.next_bool(0.2)) {
         const std::string row = row_name(rng.next_below(kRowSpace));
-        read_path_flags().bloom_pruning.store(false);
-        read_path_flags().range_pruning.store(false);
-        auto unpruned = region.get(row, "c0", read_ts);
-        read_path_flags().bloom_pruning.store(true);
-        read_path_flags().range_pruning.store(true);
-        auto pruned = region.get(row, "c0", read_ts);
-        ASSERT_TRUE(unpruned.is_ok() && pruned.is_ok());
-        ASSERT_EQ(pruned.value().has_value(), unpruned.value().has_value()) << what;
-        if (pruned.value()) {
-          EXPECT_EQ(pruned.value()->value, unpruned.value()->value);
+        auto point = region.get(row, "c0", read_ts);
+        ASSERT_TRUE(point.is_ok());
+        const auto want = model_get(model, row, "c0", read_ts);
+        ASSERT_EQ(point.value().has_value(), want.has_value()) << what;
+        if (want) {
+          EXPECT_EQ(point.value()->value, want->value);
         }
       }
     }

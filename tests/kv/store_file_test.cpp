@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/codec.h"
 #include "src/common/random.h"
 
 namespace tfr {
@@ -10,6 +11,17 @@ namespace {
 class StoreFileTest : public ::testing::Test {
  protected:
   StoreFileTest() : dfs_(DfsConfig{}), cache_(1 << 20) {}
+
+  /// Newest visible version per (row, column) with row in [start, end),
+  /// through the same iterate() + collect_visible pipeline Region::scan uses.
+  std::vector<Cell> scan(const StoreFileReader& reader, const std::string& start,
+                         const std::string& end, Timestamp read_ts) {
+    auto it = reader.iterate(cache_, start, end);
+    EXPECT_TRUE(it.is_ok());
+    std::vector<Cell> out;
+    EXPECT_TRUE(collect_visible(*it.value(), read_ts, 0, &out).is_ok());
+    return out;
+  }
 
   Dfs dfs_;
   BlockCache cache_;
@@ -82,11 +94,10 @@ TEST_F(StoreFileTest, ScanRange) {
   }
   ASSERT_TRUE(writer.finish(dfs_, "/sf").is_ok());
   auto reader = StoreFileReader::open(dfs_, "/sf").value();
-  auto cells = reader->scan(cache_, "row00010", "row00020", 10);
-  ASSERT_TRUE(cells.is_ok());
-  EXPECT_EQ(cells.value().size(), 10u);
-  EXPECT_EQ(cells.value().front().row, "row00010");
-  EXPECT_EQ(cells.value().back().row, "row00019");
+  auto cells = scan(*reader, "row00010", "row00020", 10);
+  ASSERT_EQ(cells.size(), 10u);
+  EXPECT_EQ(cells.front().row, "row00010");
+  EXPECT_EQ(cells.back().row, "row00019");
 }
 
 TEST_F(StoreFileTest, ScanDeduplicatesVersions) {
@@ -95,9 +106,13 @@ TEST_F(StoreFileTest, ScanDeduplicatesVersions) {
   writer.add(Cell{"a", "c", "v1", 1, false});
   ASSERT_TRUE(writer.finish(dfs_, "/sf").is_ok());
   auto reader = StoreFileReader::open(dfs_, "/sf").value();
-  auto cells = reader->scan(cache_, "", "", 10).value();
+  auto cells = scan(*reader, "", "", 10);
   ASSERT_EQ(cells.size(), 1u);
   EXPECT_EQ(cells[0].value, "v2");
+  // An older snapshot sees the older version, still only one per column.
+  cells = scan(*reader, "", "", 1);
+  ASSERT_EQ(cells.size(), 1u);
+  EXPECT_EQ(cells[0].value, "v1");
 }
 
 TEST_F(StoreFileTest, EmptyFileIsValid) {
@@ -106,7 +121,7 @@ TEST_F(StoreFileTest, EmptyFileIsValid) {
   auto reader = StoreFileReader::open(dfs_, "/sf").value();
   EXPECT_EQ(reader->block_count(), 0u);
   EXPECT_FALSE(reader->get(cache_, "x", "c", 10).value().has_value());
-  EXPECT_TRUE(reader->scan(cache_, "", "", 10).value().empty());
+  EXPECT_TRUE(scan(*reader, "", "", 10).empty());
 }
 
 TEST_F(StoreFileTest, CorruptFileRejected) {
@@ -114,6 +129,26 @@ TEST_F(StoreFileTest, CorruptFileRejected) {
   EXPECT_EQ(StoreFileReader::open(dfs_, "/junk").status().code(), Code::kCorruption);
   ASSERT_TRUE(dfs_.write_file("/tiny", "xy").is_ok());
   EXPECT_EQ(StoreFileReader::open(dfs_, "/tiny").status().code(), Code::kCorruption);
+  // A file in the retired v1 layout: one block, an index, then the v1
+  // footer { index_offset, index_length, max_ts, magic_v1 } with no meta
+  // section. Only the v2 format is readable.
+  std::string v1;
+  Encoder enc(&v1);
+  enc.put_u32(1);  // block: one cell, crc, cell bytes
+  enc.put_u32(0);
+  v1 += std::string(48, 'c');
+  const std::uint64_t index_offset = v1.size();
+  enc.put_u32(1);  // index: one entry
+  enc.put_string("row");
+  enc.put_u64(0);
+  enc.put_u64(index_offset);
+  const std::uint64_t index_length = v1.size() - index_offset;
+  enc.put_u64(index_offset);
+  enc.put_u64(index_length);
+  enc.put_i64(7);
+  enc.put_u32(0x7f5bf11e);  // the v1 magic
+  ASSERT_TRUE(dfs_.write_file("/sf-v1", v1).is_ok());
+  EXPECT_EQ(StoreFileReader::open(dfs_, "/sf-v1").status().code(), Code::kCorruption);
 }
 
 std::vector<Cell> drain(CellIterator& it) {
@@ -137,7 +172,7 @@ TEST_F(StoreFileTest, RowBeforeFirstBlock) {
   ASSERT_GT(reader->block_count(), 2u);
   // A row sorting before the whole file: no index block covers it.
   EXPECT_FALSE(reader->get(cache_, "row00001", "c", 10).value().has_value());
-  EXPECT_TRUE(reader->scan(cache_, "a", "row00010", 10).value().empty());
+  EXPECT_TRUE(scan(*reader, "a", "row00010", 10).empty());
   // An iterator starting before the first row begins at the first row.
   auto it = reader->iterate(cache_, "a", "").value();
   ASSERT_TRUE(it->valid());
@@ -155,10 +190,10 @@ TEST_F(StoreFileTest, EmptyScanRange) {
   ASSERT_TRUE(writer.finish(dfs_, "/sf").is_ok());
   auto reader = StoreFileReader::open(dfs_, "/sf").value();
   // start == end: nothing qualifies.
-  EXPECT_TRUE(reader->scan(cache_, "row00005", "row00005", 10).value().empty());
+  EXPECT_TRUE(scan(*reader, "row00005", "row00005", 10).empty());
   EXPECT_FALSE(reader->iterate(cache_, "row00005", "row00005").value()->valid());
   // A range that falls between two adjacent rows.
-  EXPECT_TRUE(reader->scan(cache_, "row00005a", "row00006", 10).value().empty());
+  EXPECT_TRUE(scan(*reader, "row00005a", "row00006", 10).empty());
   // A range past the last row.
   EXPECT_FALSE(reader->iterate(cache_, "row99999", "").value()->valid());
 }
@@ -186,7 +221,6 @@ TEST_F(StoreFileTest, V2MetadataRoundTrip) {
   writer.add(Cell{"peach", "c", "v", 1, false});
   ASSERT_TRUE(writer.finish(dfs_, "/sf").is_ok());
   auto reader = StoreFileReader::open(dfs_, "/sf").value();
-  EXPECT_EQ(reader->format_version(), 2);
   ASSERT_TRUE(reader->has_key_range());
   EXPECT_EQ(reader->first_row(), "apple");
   EXPECT_EQ(reader->last_row(), "peach");
@@ -238,37 +272,6 @@ TEST_F(StoreFileTest, BloomFalsePositiveStillCorrect) {
   auto got = reader->get(cache_, fp, "c", 10);
   ASSERT_TRUE(got.is_ok());
   EXPECT_FALSE(got.value().has_value());
-}
-
-TEST_F(StoreFileTest, V1FormatReadByNewReader) {
-  StoreFileWriter writer(/*target_block_bytes=*/128, /*format_version=*/1);
-  for (int i = 0; i < 30; ++i) {
-    char row[16];
-    std::snprintf(row, sizeof(row), "row%05d", i);
-    writer.add(Cell{row, "c", "v" + std::to_string(i), static_cast<Timestamp>(i + 1), false});
-  }
-  ASSERT_TRUE(writer.finish(dfs_, "/sf-v1").is_ok());
-  auto reader = StoreFileReader::open(dfs_, "/sf-v1").value();
-  EXPECT_EQ(reader->format_version(), 1);
-  EXPECT_FALSE(reader->has_key_range());
-  // No meta to prune on: every row may be present, every range overlaps.
-  EXPECT_TRUE(reader->may_contain_row("zzz"));
-  EXPECT_TRUE(reader->range_overlaps("x", "y"));
-  // Reads behave exactly as for a v2 file.
-  EXPECT_EQ(reader->get(cache_, "row00017", "c", 100).value()->value, "v17");
-  EXPECT_FALSE(reader->get(cache_, "nope", "c", 100).value().has_value());
-  EXPECT_EQ(reader->scan(cache_, "row00010", "row00020", 100).value().size(), 10u);
-  auto it = reader->iterate(cache_, "", "").value();
-  EXPECT_EQ(drain(*it).size(), 30u);
-  EXPECT_EQ(reader->max_ts(), 30);
-}
-
-TEST_F(StoreFileTest, V1EmptyFileIsValid) {
-  StoreFileWriter writer(16 * 1024, /*format_version=*/1);
-  ASSERT_TRUE(writer.finish(dfs_, "/sf-v1-empty").is_ok());
-  auto reader = StoreFileReader::open(dfs_, "/sf-v1-empty").value();
-  EXPECT_EQ(reader->format_version(), 1);
-  EXPECT_FALSE(reader->iterate(cache_, "", "").value()->valid());
 }
 
 TEST_F(StoreFileTest, BlockReadsGoThroughCache) {

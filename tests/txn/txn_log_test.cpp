@@ -54,6 +54,20 @@ TEST(TxnLogTest, FetchClientFilters) {
   EXPECT_EQ(fetched[1].commit_ts, 3);
   EXPECT_EQ(log.fetch_client_after("alice", 1).size(), 1u);
   EXPECT_TRUE(log.fetch_client_after("carol", 0).empty());
+  // Many interleaved clients: each one's records, and only those, in commit
+  // order, before and after a truncation.
+  for (Timestamp ts = 4; ts <= 40; ++ts) {
+    ASSERT_TRUE(log.append(make_ws(ts, "client-" + std::to_string(ts % 7))).is_ok());
+  }
+  auto client3 = log.fetch_client_after("client-3", 0);
+  ASSERT_EQ(client3.size(), 5u);  // 10, 17, 24, 31, 38
+  for (std::size_t i = 0; i < client3.size(); ++i) {
+    EXPECT_EQ(client3[i].client_id, "client-3");
+    EXPECT_EQ(client3[i].commit_ts, static_cast<Timestamp>(10 + 7 * i));
+  }
+  log.truncate_through(20);
+  EXPECT_EQ(log.fetch_client_after("client-3", 0).size(), 3u);
+  EXPECT_EQ(log.fetch_after(0).size(), 20u);
 }
 
 TEST(TxnLogTest, TruncateDropsCheckpointedPrefix) {
@@ -110,52 +124,10 @@ TEST(TxnLogTest, LiveBytesTracksPayload) {
   EXPECT_EQ(log.stats().live_bytes, 0);
 }
 
-TEST(TxnLogTest, ShardedLanesPreserveCommitOrderSemantics) {
-  TxnLogConfig cfg;
-  cfg.lanes = 4;
-  TxnLog log(cfg);
-  EXPECT_EQ(log.lanes(), 4);
-  // Different clients land on different lanes; fetch still presents the
-  // union in commit order.
-  for (Timestamp ts = 1; ts <= 40; ++ts) {
-    ASSERT_TRUE(log.append(make_ws(ts, "client-" + std::to_string(ts % 7))).is_ok());
-  }
-  auto fetched = log.fetch_after(0);
-  ASSERT_EQ(fetched.size(), 40u);
-  for (Timestamp ts = 1; ts <= 40; ++ts) {
-    EXPECT_EQ(fetched[static_cast<std::size_t>(ts - 1)].commit_ts, ts);
-  }
-  EXPECT_EQ(log.fetch_client_after("client-3", 0).size(), 6u);
-  log.truncate_through(20);
-  EXPECT_EQ(log.fetch_after(0).size(), 20u);
-}
-
-TEST(TxnLogTest, LanesOverlapStorageWrites) {
-  // With the storage write off the shared lock, K lanes should complete K
-  // concurrent batches in roughly one sync latency, not K.
-  TxnLogConfig cfg;
-  cfg.sync_latency = millis(10);
-  cfg.lanes = 4;
-  TxnLog log(cfg);
-  std::vector<std::thread> threads;
-  const Micros start = now_micros();
-  for (int t = 0; t < 4; ++t) {
-    threads.emplace_back([&log, t] {
-      ASSERT_TRUE(log.append(make_ws(t + 1, "client-" + std::to_string(t))).is_ok());
-    });
-  }
-  for (auto& t : threads) t.join();
-  const Micros elapsed = now_micros() - start;
-  // Sequential lanes would take >= 40 ms even with perfect batching of
-  // distinct clients; overlapping lanes finish in ~10-25 ms.
-  EXPECT_LT(elapsed, millis(35));
-}
-
 TEST(TxnLogTest, AdaptiveGroupCommitChargesSyncOncePerBatch) {
   TxnLogConfig cfg;
   cfg.sync_latency = millis(4);
   cfg.sync_jitter = 0;
-  cfg.adaptive = true;
   cfg.max_group_wait = millis(2);
   reset_global_histograms();
   TxnLog log(cfg);
@@ -180,7 +152,7 @@ TEST(TxnLogTest, AdaptiveGroupCommitChargesSyncOncePerBatch) {
   // scheduling slack, far below appends x sync (192 ms here).
   EXPECT_LT(elapsed,
             stats.batches * (cfg.sync_latency + cfg.max_group_wait) + millis(40));
-  // The adaptive path feeds the shared histograms: one batch-size sample per
+  // Group commit feeds the shared histograms: one batch-size sample per
   // batch.
   for (const auto& [name, hist] : global_histogram_snapshot()) {
     if (name == "log.batch_size") {
@@ -194,7 +166,6 @@ TEST(TxnLogTest, RecoveryScanOrderSurvivesBatchBoundaries) {
   // concurrent appends were grouped into batches.
   TxnLogConfig cfg;
   cfg.sync_latency = millis(2);
-  cfg.adaptive = true;
   TxnLog log(cfg);
   constexpr int kThreads = 8;
   constexpr int kPerThread = 6;
@@ -219,35 +190,12 @@ TEST(TxnLogTest, RecoveryScanOrderSurvivesBatchBoundaries) {
   }
 }
 
-TEST(TxnLogTest, NonAdaptiveModeNeverHoldsTheSync) {
-  TxnLogConfig cfg;
-  cfg.sync_latency = millis(1);
-  cfg.adaptive = false;
-  TxnLog log(cfg);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < 8; ++t) {
-    threads.emplace_back([&log, t] {
-      for (int i = 0; i < 3; ++i) {
-        ASSERT_TRUE(log.append(make_ws(t * 3 + i + 1)).is_ok());
-      }
-    });
-  }
-  for (auto& t : threads) t.join();
-  const auto stats = log.stats();
-  EXPECT_EQ(stats.appends, 24);
-  // Legacy behaviour: wake -> sync immediately; the accumulation window is
-  // never entered (opportunistic batching of already-queued work still
-  // happens).
-  EXPECT_EQ(stats.group_waits, 0);
-}
-
 TEST(TxnLogTest, FetchAfterTruncateNeverReturnsTruncatedRecord) {
   // Regression for the segment rebuild: a truncated record must be invisible
   // to every fetch shape — below, at, and across segment boundaries, before
   // and after physical GC — even when the caller's threshold is older than
   // the truncation floor.
   TxnLogConfig cfg;
-  cfg.lanes = 2;
   cfg.segment_records = 8;  // truncation lands mid-segment and across seals
   cfg.gc_interval = 0;      // physical reclamation only via gc_now()
   TxnLog log(cfg);
@@ -304,9 +252,8 @@ TEST(TxnLogTest, SegmentGcReclaimsWholeSegmentsAndExportsMetrics) {
 TEST(TxnLogTest, RetainedRecordsPlateauUnderSustainedCommits) {
   // The acceptance property behind Algorithm 4: with checkpointing keeping
   // pace, physical retention is bounded by TP lag plus one partially-dead
-  // segment per lane — it must not grow with total commits.
+  // segment — it must not grow with total commits.
   TxnLogConfig cfg;
-  cfg.lanes = 2;
   cfg.segment_records = 16;
   cfg.gc_interval = 0;
   TxnLog log(cfg);
@@ -322,10 +269,9 @@ TEST(TxnLogTest, RetainedRecordsPlateauUnderSustainedCommits) {
     }
   }
   const auto stats = log.stats();
-  // Bound: TP lag + checkpoint cadence + one sealing-boundary segment per
-  // lane. Far below kTotal — the legacy map would have retained all 2000.
-  const std::int64_t bound =
-      kTpLag + 50 + static_cast<std::int64_t>(cfg.lanes * cfg.segment_records) * 2;
+  // Bound: TP lag + checkpoint cadence + a partially-dead segment and the
+  // active one. Far below kTotal — a flat map would have retained all 2000.
+  const std::int64_t bound = kTpLag + 50 + static_cast<std::int64_t>(cfg.segment_records) * 2;
   EXPECT_LE(max_retained, bound);
   EXPECT_LE(stats.segments, 2 * ((bound / static_cast<std::int64_t>(cfg.segment_records)) + 2));
   EXPECT_GT(stats.gc_segments, 50);
