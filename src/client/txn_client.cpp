@@ -5,6 +5,16 @@
 
 namespace tfr {
 
+namespace {
+// A flusher thread drains up to this many queued write-sets at once and
+// ships all slices bound for the same server in one batched apply RPC (see
+// KvClient::flush_writesets).
+constexpr std::size_t kFlushBatchMax = 32;
+// §3.2: alert when the number of committed-but-unflushed transactions
+// exceeds this (a region stuck offline blocks TF(c) from advancing).
+constexpr std::size_t kFlushQueueAlert = 10'000;
+}  // namespace
+
 // --- Transaction -------------------------------------------------------------
 
 void Transaction::put(const std::string& row, const std::string& column, std::string value) {
@@ -31,8 +41,7 @@ Result<std::optional<std::string>> Transaction::get(const std::string& row,
 
 Result<std::vector<Cell>> Transaction::scan(const std::string& start, const std::string& end,
                                             std::size_t limit) {
-  auto cells = client_->kv_.scan(table_, start, end, handle_.start_ts, limit,
-                                 client_->config_.read_retries);
+  auto cells = client_->kv_.scan(table_, start, end, handle_.start_ts, limit);
   if (!cells.is_ok()) return cells;
   // Overlay this transaction's buffered writes on the snapshot.
   std::map<std::pair<std::string, std::string>, Cell> merged;
@@ -160,7 +169,8 @@ Transaction TxnClient::begin(const std::string& table) {
 Result<std::optional<Cell>> TxnClient::read(const std::string& table, const std::string& row,
                                             const std::string& column, Timestamp read_ts) {
   if (crashed()) return Status::closed("client crashed: " + id_);
-  return kv_.get(table, row, column, read_ts, config_.read_retries);
+  // Reads retry forever: they block through failovers rather than fail.
+  return kv_.get(table, row, column, read_ts);
 }
 
 Result<Timestamp> TxnClient::commit_writeset(const TxnHandle& handle, WriteSet ws) {
@@ -205,7 +215,7 @@ void TxnClient::flusher_loop() {
     // batch cap) so one RPC round covers many write-sets.
     std::vector<WriteSet> batch;
     batch.push_back(std::move(*ws));
-    while (batch.size() < config_.flush_batch_max) {
+    while (batch.size() < kFlushBatchMax) {
       auto more = flush_queue_.try_pop();
       if (!more) break;
       batch.push_back(std::move(*more));
@@ -243,7 +253,7 @@ void TxnClient::heartbeat_tick() {
     }
     return;
   }
-  if (tracker_.in_flight() > config_.flush_queue_alert) {
+  if (tracker_.in_flight() > kFlushQueueAlert) {
     alerts_.fetch_add(1, std::memory_order_relaxed);
     TFR_LOG(WARN, "client") << id_ << " flush queue exceeds alert threshold: "
                             << tracker_.in_flight();

@@ -53,16 +53,6 @@ struct TxnClientConfig {
   SnapshotMode snapshot = SnapshotMode::kStable;
   int flusher_threads = 8;
   Micros flush_backoff = millis(2);
-  int read_retries = 0;  ///< 0 = retry forever (block through failovers)
-
-  /// A flusher thread drains up to `flush_batch_max` queued write-sets at
-  /// once and ships all slices bound for the same server in one batched
-  /// apply RPC (see KvClient::flush_writesets).
-  std::size_t flush_batch_max = 32;
-
-  /// §3.2: alert when the number of committed-but-unflushed transactions
-  /// exceeds this (a region stuck offline blocks TF(c) from advancing).
-  std::size_t flush_queue_alert = 10'000;
 };
 
 struct TxnClientStats {

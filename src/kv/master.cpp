@@ -56,12 +56,15 @@ void Master::add_server(RegionServer* server) {
 std::uint64_t Master::bump_epoch_locked(const std::string& region_name) {
   auto it = assignment_.find(region_name);
   if (it == assignment_.end()) return 0;
-  const std::uint64_t epoch = ++it->second.epoch;
+  publish_epoch_locked(region_name, ++it->second.epoch);
+  return it->second.epoch;
+}
+
+void Master::publish_epoch_locked(const std::string& region_name, std::uint64_t epoch) {
   // Arm the storage-side fencing check, then record the grant durably so a
   // restarted master (or the recovery manager) can learn the fenced epoch.
   if (epochs_ != nullptr) epochs_->advance_to(region_name, epoch);
   coord_->put(kEpochPrefix + region_name, static_cast<std::int64_t>(epoch));
-  return epoch;
 }
 
 std::uint64_t Master::region_epoch(const std::string& region_name) const {
@@ -176,216 +179,160 @@ std::vector<std::string> Master::live_servers() const {
   return out;
 }
 
-namespace {
-
-/// Best-effort removal of a never-registered daughter/merged dir's marker
-/// files after an abandoned transition (tiny ref markers only — the dir
-/// never held data).
-void remove_stray_markers(Dfs& dfs, const std::vector<std::string>& region_names) {
-  for (const auto& name : region_names) {
-    for (const auto& path : dfs.list(region_data_dir(name))) {
-      TFR_IGNORE_STATUS(dfs.remove(path),
-                        "abandoned topology transition; markers in a never-registered "
-                        "dir are dead weight, not state — the region was never routed to");
-    }
+class Master::HookCall {
+ public:
+  explicit HookCall(Master& master) TFR_REQUIRES(master.mutex_)
+      : master_(master), hooks_(master.hooks_) {
+    if (hooks_ != nullptr) ++master.hook_calls_in_flight_;
   }
+  ~HookCall() {
+    if (hooks_ == nullptr) return;
+    {
+      MutexLock lock(master_.mutex_);
+      --master_.hook_calls_in_flight_;
+    }
+    master_.idle_cv_.notify_all();
+  }
+  HookCall(const HookCall&) = delete;
+  HookCall& operator=(const HookCall&) = delete;
+
+  explicit operator bool() const { return hooks_ != nullptr; }
+  MasterHooks* operator->() const { return hooks_; }
+
+ private:
+  Master& master_;
+  MasterHooks* const hooks_;
+};
+
+Result<Master::Parents> Master::snapshot_parents(const std::vector<std::string>& names) const {
+  MutexLock lock(mutex_);
+  Parents parents;
+  for (const auto& name : names) {
+    auto it = assignment_.find(name);
+    if (it == assignment_.end()) return Status::not_found("unknown region: " + name);
+    if (!parents.locs.empty() && it->second.server_id != parents.locs.front().server_id) {
+      return Status::unavailable("parents not co-located");
+    }
+    parents.locs.push_back(it->second);
+  }
+  const std::string& host = parents.locs.front().server_id;
+  auto sit = servers_.find(host);
+  if (sit == servers_.end() || !server_alive_.at(host)) {
+    return Status::unavailable("host down for topology change: " + host);
+  }
+  parents.host = sit->second;
+  return parents;
 }
 
-}  // namespace
-
-Status Master::split_region(const std::string& region_name) {
-  RegionLocation loc;
-  RegionServer* stub = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto it = assignment_.find(region_name);
-    if (it == assignment_.end()) return Status::not_found("unknown region: " + region_name);
-    loc = it->second;
-    auto sit = servers_.find(loc.server_id);
-    if (sit == servers_.end()) return Status::unavailable("no stub for " + loc.server_id);
-    if (!server_alive_[loc.server_id]) {
-      return Status::unavailable("host down for split: " + loc.server_id);
-    }
-    stub = sit->second;
-  }
-  // Server-side half: fence + flush the parent, choose the key, write the
-  // daughters' store-file reference markers. The parent's dir is never
-  // modified, so every abort path below leaves it reopenable as-is.
-  auto children = stub->split_region(region_name);
-  if (!children.is_ok()) return children.status();
-  const auto& [left, right] = children.value();
-
-  MasterHooks* hooks = nullptr;
+Status Master::commit_replacement(const Parents& parents,
+                                  const std::vector<RegionDescriptor>& children) {
+  const std::string& host = parents.locs.front().server_id;
+  std::vector<std::string> parent_names;
+  std::vector<std::string> child_names;
+  for (const auto& loc : parents.locs) parent_names.push_back(loc.region_name);
+  for (const auto& child : children) child_names.push_back(child.name());
   std::uint64_t new_epoch = 0;
   {
     MutexLock lock(mutex_);
-    auto it = assignment_.find(region_name);
-    if (it == assignment_.end() || it->second.epoch != loc.epoch) {
-      // A failure recovery re-fenced the parent while the server-side half
-      // ran (the host was declared dead — it may be a zombie behind a
-      // partition). That recovery owns the parent now and will reopen it
-      // under its higher epoch; abandon the transition.
-      lock.unlock();
-      remove_stray_markers(*dfs_, {left.name(), right.name()});
-      return Status::unavailable("split of " + region_name + " superseded by failure recovery");
+    for (const auto& loc : parents.locs) {
+      auto it = assignment_.find(loc.region_name);
+      if (it == assignment_.end() || it->second.epoch != loc.epoch) {
+        // A failure recovery re-fenced a parent while the server-side half
+        // ran (the host was declared dead — it may be a zombie behind a
+        // partition). That recovery owns the parents now and reopens them
+        // from their untouched dirs under its higher epoch; abandon the
+        // transition and the children's markers.
+        lock.unlock();
+        clear_unregistered_region_dirs(*dfs_, children);
+        return Status::unavailable("replacement of " + loc.region_name +
+                                   " superseded by failure recovery");
+      }
+      new_epoch = std::max(new_epoch, loc.epoch + 1);
     }
-    // Commit: one epoch for the whole transition. The daughters are fenced
-    // forward, and the RETIRED parent name is bumped too so any straggling
-    // store-file finalize from a resumed parent compaction is rejected.
-    new_epoch = loc.epoch + 1;
-    assignment_.erase(region_name);
-    assignment_[left.name()] = RegionLocation{left.name(), left, loc.server_id, new_epoch};
-    assignment_[right.name()] = RegionLocation{right.name(), right, loc.server_id, new_epoch};
-    for (const std::string& r : {left.name(), right.name(), region_name}) {
-      if (epochs_ != nullptr) epochs_->advance_to(r, new_epoch);
-      coord_->put(kEpochPrefix + r, static_cast<std::int64_t>(new_epoch));
+    // Commit: one epoch for the whole transition. The children are fenced
+    // forward, and the RETIRED parent names are bumped too so any
+    // straggling store-file finalize from a resumed parent compaction is
+    // rejected.
+    for (const auto& name : parent_names) assignment_.erase(name);
+    for (const auto& child : children) {
+      assignment_[child.name()] = RegionLocation{child.name(), child, host, new_epoch};
     }
-    coord_->put(kSplitRecordPrefix + region_name + "|" + left.name() + "|" + right.name(),
-                static_cast<std::int64_t>(new_epoch));
-    hooks = hooks_;
-    if (hooks != nullptr) ++hook_calls_in_flight_;
-  }
-  global_counter("master.region_splits").add();
-  if (hooks != nullptr) {
+    for (const auto& r : child_names) publish_epoch_locked(r, new_epoch);
+    for (const auto& r : parent_names) {
+      publish_epoch_locked(r, new_epoch);
+      coord_->put(kRetiredRecordPrefix + r, static_cast<std::int64_t>(new_epoch));
+    }
+    HookCall hooks(*this);
+    lock.unlock();
     // Floors before gates: the recovery middleware migrates any pending
-    // replay floor from the parent to the daughters before either daughter
-    // can run its gate.
-    hooks->on_region_split(region_name, {left.name(), right.name()}, new_epoch);
-    MutexLock lock(mutex_);
-    --hook_calls_in_flight_;
-    idle_cv_.notify_all();
+    // replay floor from the parents to the children before any child can
+    // run its gate.
+    if (hooks) hooks->on_regions_replaced(parent_names, child_names, new_epoch);
   }
-  for (const RegionDescriptor& child : {left, right}) {
-    Status opened = stub->open_region(child, {}, new_epoch);
+  global_counter(children.size() > parents.locs.size() ? "master.region_splits"
+                                                       : "master.region_merges")
+      .add();
+  for (const RegionDescriptor& child : children) {
+    Status opened = parents.host->open_region(child, {}, new_epoch);
     if (!opened.is_ok()) {
-      // The daughters stay assigned (epochs and floors intact); if the host
+      // The children stay assigned (epochs and floors intact); if the host
       // is dying, its failure recovery re-homes them like any other region.
-      TFR_LOG(WARN, "master") << "daughter " << child.name() << " failed to open on "
-                              << loc.server_id << ": " << opened
-                              << "; failure recovery will re-home it";
+      TFR_LOG(WARN, "master") << child.name() << " failed to open on " << host << ": "
+                              << opened << "; failure recovery will re-home it";
       return opened;
     }
   }
-  TFR_LOG(INFO, "master") << region_name << " split into " << left.name() << " and "
-                          << right.name() << " (epoch " << new_epoch << ")";
+  TFR_LOG(INFO, "master") << parent_names.front() << " (+" << parent_names.size() - 1
+                          << ") replaced by " << child_names.front() << " (+"
+                          << child_names.size() - 1 << "), epoch " << new_epoch;
   return Status::ok();
 }
 
+Status Master::split_region(const std::string& region_name) {
+  auto parents = snapshot_parents({region_name});
+  if (!parents.is_ok()) return parents.status();
+  // Server-side half: localize, fence + flush the parent, choose the key,
+  // write the daughters' store-file reference markers. The parent's dir is
+  // never modified, so every abort path leaves it reopenable as-is.
+  auto children = parents.value().host->split_region(region_name);
+  if (!children.is_ok()) return children.status();
+  return commit_replacement(parents.value(), {children.value().first, children.value().second});
+}
+
 Status Master::merge_regions(const std::string& left_region, const std::string& right_region) {
-  RegionLocation lloc;
-  RegionLocation rloc;
-  MasterHooks* hooks = nullptr;
+  auto left = region_by_name(left_region);
+  if (!left.is_ok()) return left.status();
+  auto right = region_by_name(right_region);
+  if (!right.is_ok()) return right.status();
+  if (!left.value().descriptor.precedes(right.value().descriptor)) {
+    return Status::invalid_argument("regions not adjacent: " + left_region + " + " +
+                                    right_region);
+  }
   {
     MutexLock lock(mutex_);
-    auto lit = assignment_.find(left_region);
-    auto rit = assignment_.find(right_region);
-    if (lit == assignment_.end() || rit == assignment_.end()) {
-      return Status::not_found("unknown region: " +
-                               (lit == assignment_.end() ? left_region : right_region));
-    }
-    lloc = lit->second;
-    rloc = rit->second;
-    const RegionDescriptor& ld = lloc.descriptor;
-    const RegionDescriptor& rd = rloc.descriptor;
-    if (ld.table != rd.table || ld.end_key.empty() || ld.end_key != rd.start_key) {
-      return Status::invalid_argument("regions not adjacent: " + left_region + " + " +
-                                      right_region);
-    }
-    hooks = hooks_;
-    if (hooks != nullptr) ++hook_calls_in_flight_;
-  }
-  if (hooks != nullptr) {
+    HookCall hooks(*this);
+    lock.unlock();
     // A recovering region's pending replay floor pins the TM-log GC until
     // its gate runs; merging it away would hand that obligation to a region
     // whose own gate may already have passed. Refuse — the merge can retry
     // once recovery drains. (A failure can still land between this check
-    // and the commit; on_regions_merged min-inherits floors defensively.)
-    const bool recovering =
-        hooks->is_region_recovering(left_region) || hooks->is_region_recovering(right_region);
-    {
-      MutexLock lock(mutex_);
-      --hook_calls_in_flight_;
-    }
-    idle_cv_.notify_all();
-    if (recovering) {
+    // and the commit; on_regions_replaced min-inherits floors defensively.)
+    if (hooks && (hooks->is_region_recovering(left_region) ||
+                  hooks->is_region_recovering(right_region))) {
       return Status::unavailable("refusing to merge while a region is recovering: " +
                                  left_region + " + " + right_region);
     }
   }
   // Co-locate both parents on the left region's host.
-  if (rloc.server_id != lloc.server_id) {
-    TFR_RETURN_IF_ERROR(move_region(right_region, lloc.server_id));
-  }
-  RegionServer* stub = nullptr;
-  {
-    MutexLock lock(mutex_);
-    auto lit = assignment_.find(left_region);
-    auto rit = assignment_.find(right_region);
-    if (lit == assignment_.end() || rit == assignment_.end()) {
-      return Status::unavailable("region vanished before merge: " + left_region + " + " +
-                                 right_region);
-    }
-    lloc = lit->second;
-    rloc = rit->second;
-    if (lloc.server_id != rloc.server_id) {
-      return Status::unavailable("parents not co-located for merge");
-    }
-    auto sit = servers_.find(lloc.server_id);
-    if (sit == servers_.end() || !server_alive_[lloc.server_id]) {
-      return Status::unavailable("host down for merge: " + lloc.server_id);
-    }
-    stub = sit->second;
-  }
+  const std::string& host = left.value().server_id;
+  if (right.value().server_id != host) TFR_RETURN_IF_ERROR(move_region(right_region, host));
+  auto parents = snapshot_parents({left_region, right_region});
+  if (!parents.is_ok()) return parents.status();
   // Server-side half (fence + flush both parents, write the merged dir's
   // reference markers); neither parent dir is modified.
-  auto merged = stub->merge_regions(left_region, right_region);
+  auto merged = parents.value().host->merge_regions(left_region, right_region);
   if (!merged.is_ok()) return merged.status();
-  const RegionDescriptor& md = merged.value();
-
-  std::uint64_t new_epoch = 0;
-  {
-    MutexLock lock(mutex_);
-    auto lit = assignment_.find(left_region);
-    auto rit = assignment_.find(right_region);
-    if (lit == assignment_.end() || rit == assignment_.end() ||
-        lit->second.epoch != lloc.epoch || rit->second.epoch != rloc.epoch) {
-      // Re-fenced mid-merge by a failure recovery; it reopens the parents
-      // from their untouched dirs. Abandon the merged dir's markers.
-      lock.unlock();
-      remove_stray_markers(*dfs_, {md.name()});
-      return Status::unavailable("merge of " + left_region + " + " + right_region +
-                                 " superseded by failure recovery");
-    }
-    new_epoch = std::max(lloc.epoch, rloc.epoch) + 1;
-    assignment_.erase(left_region);
-    assignment_.erase(right_region);
-    assignment_[md.name()] = RegionLocation{md.name(), md, lloc.server_id, new_epoch};
-    for (const std::string& r : {md.name(), left_region, right_region}) {
-      if (epochs_ != nullptr) epochs_->advance_to(r, new_epoch);
-      coord_->put(kEpochPrefix + r, static_cast<std::int64_t>(new_epoch));
-    }
-    coord_->put(kMergeRecordPrefix + md.name() + "|" + left_region + "|" + right_region,
-                static_cast<std::int64_t>(new_epoch));
-    hooks = hooks_;
-    if (hooks != nullptr) ++hook_calls_in_flight_;
-  }
-  global_counter("master.region_merges").add();
-  if (hooks != nullptr) {
-    hooks->on_regions_merged(md.name(), {left_region, right_region}, new_epoch);
-    MutexLock lock(mutex_);
-    --hook_calls_in_flight_;
-    idle_cv_.notify_all();
-  }
-  Status opened = stub->open_region(md, {}, new_epoch);
-  if (!opened.is_ok()) {
-    TFR_LOG(WARN, "master") << "merged region " << md.name() << " failed to open on "
-                            << lloc.server_id << ": " << opened
-                            << "; failure recovery will re-home it";
-    return opened;
-  }
-  TFR_LOG(INFO, "master") << left_region << " + " << right_region << " merged into "
-                          << md.name() << " (epoch " << new_epoch << ")";
-  return Status::ok();
+  return commit_replacement(parents.value(), {merged.value()});
 }
 
 Status Master::move_region(const std::string& region_name, const std::string& target_server) {
@@ -545,13 +492,11 @@ void Master::balance_once() {
   balancer_last_traffic_ = std::move(traffic_now);  // also prunes vanished regions
   balancer_last_server_load_ = std::move(server_load_now);
 
-  // --- splits: oversized or hot regions -----------------------------------
+  // --- splits: oversized regions -----------------------------------------
   for (const auto& s : samples) {
     if (actions >= max_actions) break;
     if (!s.online) continue;
-    const bool by_size = cfg.split_store_bytes != 0 && s.bytes > cfg.split_store_bytes;
-    const bool by_traffic = cfg.split_traffic_ops != 0 && s.delta > cfg.split_traffic_ops;
-    if (!by_size && !by_traffic) continue;
+    if (cfg.split_store_bytes == 0 || s.bytes <= cfg.split_store_bytes) continue;
     // InvalidArgument (fewer than two rows) and Unavailable (mid-transition,
     // racing a failure) are normal here; the next tick retries.
     if (split_region(s.loc.region_name).is_ok()) ++actions;
@@ -568,8 +513,7 @@ void Master::balance_once() {
       for (auto& [start, cur] : regions) {
         if (actions >= max_actions) break;
         if (prev != nullptr && prev->online && cur->online &&
-            !prev->loc.descriptor.end_key.empty() &&
-            prev->loc.descriptor.end_key == cur->loc.descriptor.start_key &&
+            prev->loc.descriptor.precedes(cur->loc.descriptor) &&
             prev->delta < cfg.merge_traffic_ops && cur->delta < cfg.merge_traffic_ops &&
             prev->bytes + cur->bytes <= cfg.merge_store_bytes) {
           if (merge_regions(prev->loc.region_name, cur->loc.region_name).is_ok()) {
@@ -595,7 +539,7 @@ void Master::balance_once() {
     }
     return coldest;
   };
-  if (cfg.balance_region_counts && actions < max_actions && per_server.size() >= 2) {
+  if (actions < max_actions && per_server.size() >= 2) {
     // Region-count evenness (the scale-out balancer), one move per tick.
     auto most = per_server.begin();
     auto least = per_server.begin();
@@ -612,8 +556,7 @@ void Master::balance_once() {
   if (cfg.move_load_ratio > 0 && actions < max_actions && per_server.size() >= 2) {
     // Traffic imbalance: shed the coldest region of the hottest server onto
     // the coldest server. Moving the coldest (not the hottest) region keeps
-    // the move cheap and convergent — a hot region is the SPLIT trigger's
-    // job, not the mover's.
+    // the move cheap and convergent.
     std::string hot, cold;
     for (const auto& [id, d] : server_delta) {
       if (hot.empty() || d > server_delta[hot]) hot = id;
@@ -635,29 +578,11 @@ void Master::balance_once() {
 
 void Master::janitor_sweep() {
   // Reclaim retired parent dirs. Records are listed BEFORE markers: a
-  // split/merge writes its daughters' markers before its durable record, so
-  // any record visible here already has its markers visible — or they were
-  // consumed by daughter compactions, at which point the parent's files are
-  // genuinely dead.
-  struct Record {
-    std::string key;
-    std::vector<std::string> retired;
-  };
-  std::vector<Record> records;
-  for (const auto& [key, value] : coord_->list(kSplitRecordPrefix)) {
-    const std::string body = key.substr(std::string(kSplitRecordPrefix).size());
-    const auto bar = body.find('|');
-    if (bar == std::string::npos) continue;
-    records.push_back({key, {body.substr(0, bar)}});  // the parent is retired
-  }
-  for (const auto& [key, value] : coord_->list(kMergeRecordPrefix)) {
-    const std::string body = key.substr(std::string(kMergeRecordPrefix).size());
-    const auto bar1 = body.find('|');
-    if (bar1 == std::string::npos) continue;
-    const auto bar2 = body.find('|', bar1 + 1);
-    if (bar2 == std::string::npos) continue;
-    records.push_back({key, {body.substr(bar1 + 1, bar2 - bar1 - 1), body.substr(bar2 + 1)}});
-  }
+  // transition writes its children's markers before its durable records,
+  // so any record visible here already has its markers visible — or they
+  // were consumed by child compactions, at which point the parent's files
+  // are genuinely dead.
+  const auto records = coord_->list(kRetiredRecordPrefix);
   if (records.empty()) return;
 
   std::set<std::string> referenced;  // data dirs some live marker points into
@@ -674,22 +599,16 @@ void Master::janitor_sweep() {
     MutexLock lock(mutex_);
     for (const auto& [name, loc] : assignment_) assigned.insert(name);
   }
-  for (const auto& rec : records) {
-    bool reclaimable = true;
-    for (const auto& r : rec.retired) {
-      if (assigned.count(r) != 0 || referenced.count(region_data_dir(r)) != 0) {
-        reclaimable = false;
-        break;
-      }
-    }
-    if (!reclaimable) continue;
-    std::size_t purged = 0;
-    for (const auto& r : rec.retired) purged += dfs_->purge_prefix(region_data_dir(r));
-    coord_->erase(rec.key);
+  for (const auto& [key, epoch] : records) {
+    const std::string retired = key.substr(std::string(kRetiredRecordPrefix).size());
+    const std::string dir = region_data_dir(retired);
+    if (assigned.count(retired) != 0 || referenced.count(dir) != 0) continue;
+    const std::size_t purged = dfs_->purge_prefix(dir);
+    coord_->erase(key);
     if (purged > 0) {
       global_counter("master.janitor_purged_files").add(static_cast<std::int64_t>(purged));
       TFR_LOG(INFO, "master") << "janitor reclaimed " << purged
-                              << " files of retired region(s) behind " << rec.key;
+                              << " files of retired region " << retired;
     }
   }
 }
@@ -791,7 +710,6 @@ bool Master::replay_superseded_edits(const std::string& table,
 void Master::handle_server_down(const std::string& server_id, bool crashed) {
   // Snapshot the affected regions and the hook.
   std::vector<RegionLocation> affected;
-  MasterHooks* hooks = nullptr;
   std::string wal_path;
   {
     MutexLock lock(mutex_);
@@ -823,26 +741,23 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
         affected.push_back(loc);
       }
     }
-    hooks = hooks_;
-    if (hooks != nullptr) ++hook_calls_in_flight_;
     wal_path = server_wal_paths_[server_id];
-  }
+    HookCall hooks(*this);
+    lock.unlock();
 
-  // A crashed server may still be running (zombie behind a partition): close
-  // its WAL files at the DFS and reject its future appends/syncs, so edits
-  // it acks after this point can never become durable (HDFS lease recovery).
-  if (crashed && !wal_path.empty()) dfs_->fence_prefix(wal_path);
+    // A crashed server may still be running (zombie behind a partition):
+    // close its WAL files at the DFS and reject its future appends/syncs, so
+    // edits it acks after this point can never become durable (HDFS lease
+    // recovery).
+    if (crashed && !wal_path.empty()) dfs_->fence_prefix(wal_path);
 
-  std::vector<std::string> region_names;
-  for (const auto& loc : affected) region_names.push_back(loc.region_name);
-
-  // Notify the recovery middleware *before* regions start coming back
-  // (it snapshots TP(s) for the replay bound).
-  if (hooks && crashed) hooks->on_server_failure(server_id, region_names);
-  if (hooks != nullptr) {
-    MutexLock lock(mutex_);
-    --hook_calls_in_flight_;
-    idle_cv_.notify_all();
+    // Notify the recovery middleware *before* regions start coming back
+    // (it snapshots TP(s) for the replay bound).
+    if (hooks && crashed) {
+      std::vector<std::string> region_names;
+      for (const auto& loc : affected) region_names.push_back(loc.region_name);
+      hooks->on_server_failure(server_id, region_names);
+    }
   }
 
   // HBase log splitting: group the failed server's durable WAL records by

@@ -47,30 +47,17 @@ class MasterHooks {
   virtual void on_server_failure(const std::string& server_id,
                                  const std::vector<std::string>& regions) = 0;
 
-  /// `parent` was split into `daughters` under `new_epoch`. Called after
-  /// the transition is committed (assignment + durable split record) but
-  /// BEFORE the daughters are opened, so pending transactional-recovery
-  /// state can migrate to the daughters first — floors before gates: each
-  /// daughter must inherit the parent's replay floor (TP-inheritance, §3.2
-  /// extended to splits) before its replay gate can possibly fire.
-  virtual void on_region_split(const std::string& parent,
-                               const std::vector<std::string>& daughters,
-                               std::uint64_t new_epoch) {
-    (void)parent;
-    (void)daughters;
-    (void)new_epoch;
-  }
-
-  /// `parents` were merged into `merged` under `new_epoch`; same timing
-  /// contract as on_region_split (before the merged region opens). Purely
-  /// defensive — the master refuses to merge a recovering region — but a
-  /// failure can land between that check and the commit, so the middleware
-  /// still min-inherits any pending floor here.
-  virtual void on_regions_merged(const std::string& merged,
-                                 const std::vector<std::string>& parents,
-                                 std::uint64_t new_epoch) {
-    (void)merged;
+  /// `parents` were replaced by `children` under `new_epoch` — a split (one
+  /// parent, two children) or a merge (two parents, one child). Called
+  /// after the transition is committed but BEFORE any child is opened —
+  /// floors before gates: each child must inherit its parents' replay floor
+  /// (TP-inheritance, §3.2 extended to topology changes) before its replay
+  /// gate can possibly fire.
+  virtual void on_regions_replaced(const std::vector<std::string>& parents,
+                                   const std::vector<std::string>& children,
+                                   std::uint64_t new_epoch) {
     (void)parents;
+    (void)children;
     (void)new_epoch;
   }
 
@@ -96,25 +83,21 @@ struct RegionLocation {
 /// Coord-KV prefix under which the master durably records region epochs.
 inline constexpr const char* kEpochPrefix = "/tfr/epoch/";
 
-/// Durable topology-transition records (value = the transition's new epoch).
-/// Region names never contain '|', so it separates the participants:
-///   split: /tfr/topology/split/<parent>|<left>|<right>   (parent retired)
-///   merge: /tfr/topology/merge/<merged>|<left>|<right>   (both parents retired)
-/// A record lives until the janitor has reclaimed every retired parent dir
-/// (i.e. no daughter store-file reference marker points into it any more).
-inline constexpr const char* kSplitRecordPrefix = "/tfr/topology/split/";
-inline constexpr const char* kMergeRecordPrefix = "/tfr/topology/merge/";
+/// Durable topology-transition records, one per retired parent:
+///   /tfr/topology/retired/<parent> = the transition's new epoch.
+/// A record lives until the janitor has reclaimed the parent's dir (i.e. no
+/// child store-file reference marker points into it any more).
+inline constexpr const char* kRetiredRecordPrefix = "/tfr/topology/retired/";
 
-/// Tuning for the master's balancer loop (§9). All triggers are opt-in:
-/// a zero threshold disables that trigger, interval == 0 disables the loop.
+/// Tuning for the master's balancer loop (§9). Every tick evens out region
+/// counts (one move); the other triggers are opt-in: a zero threshold
+/// disables that trigger, interval == 0 disables the loop.
 struct BalancerConfig {
   /// Tick period of the background loop; 0 = no background loop (ticks can
   /// still be driven manually via Master::balance_once).
   Micros interval = 0;
   /// Split a region whose store grows past this many bytes (0 = off).
   std::uint64_t split_store_bytes = 0;
-  /// Split a region serving more than this many ops per tick (0 = off).
-  std::uint64_t split_traffic_ops = 0;
   /// Merge adjacent regions BOTH colder than this many ops per tick (0 =
   /// merges off)...
   std::uint64_t merge_traffic_ops = 0;
@@ -129,9 +112,6 @@ struct BalancerConfig {
   /// Upper bound on topology transitions per tick (keeps a hot tick from
   /// churning the whole keyspace at once).
   int max_actions_per_tick = 4;
-  /// Also even out raw region counts (the scale-out balancer), one move
-  /// per tick.
-  bool balance_region_counts = true;
 };
 
 class Master {
@@ -165,20 +145,18 @@ class Master {
   /// The stub for a server id; nullptr when unknown.
   RegionServer* server_stub(const std::string& server_id) const;
 
-  /// Split a region in place: server-side half (fence, flush, choose key,
-  /// write the daughters' store-file reference markers), then the committed
-  /// transition — epoch bump, assignment swap, durable split record,
-  /// floor-inheritance hook — and finally the daughter opens (each runs the
-  /// region gate under the new epoch). If a failure recovery re-fences the
-  /// parent while the server-side half runs, the transition aborts and that
-  /// recovery keeps ownership (it reopens the parent from its untouched
-  /// dir).
+  /// Split a region in place. A split and a merge are one transition —
+  /// parents replaced by children (see commit_replacement) — that differ
+  /// only in their preconditions; a split's server-side half localizes
+  /// references and chooses the key. If a failure recovery re-fences the
+  /// parent meanwhile, the transition aborts and that recovery keeps
+  /// ownership (it reopens the parent from its untouched dir).
   Status split_region(const std::string& region_name);
 
   /// Merge two adjacent regions of a table (left.end_key == right.start_key)
   /// into one. Refused while either region has transactional recovery
   /// pending (the hook's is_region_recovering). Co-locates `right` onto
-  /// `left`'s host first, then runs the same fenced transition as a split.
+  /// `left`'s host first, then runs the same transition as a split.
   Status merge_regions(const std::string& left_region, const std::string& right_region);
 
   /// Start/stop the balancer loop (§9). enable replaces any previous
@@ -231,6 +209,24 @@ class Master {
   void on_session_event(const SessionInfo& info, bool expired);
   void recovery_worker();
   void handle_server_down(const std::string& server_id, bool crashed);
+  /// Scoped pin on the installed hooks: set_hooks waits until none is alive
+  /// before the old hooks object may be retired.
+  class HookCall;
+  /// The parents of a transition as snapshotted from the assignment, and
+  /// the live host they share.
+  struct Parents {
+    std::vector<RegionLocation> locs;
+    RegionServer* host = nullptr;
+  };
+  Result<Parents> snapshot_parents(const std::vector<std::string>& names) const;
+  /// Commit `parents` -> `children` after the host's server-side half: re-
+  /// check every parent epoch against the snapshot (aborting, and clearing
+  /// the children's markers, if a failure recovery re-fenced one), swap the
+  /// assignment under new_epoch = max(parent epochs) + 1, advance the
+  /// children's and the retired parents' epochs, write one retired record
+  /// per parent, call on_regions_replaced, then open the children.
+  Status commit_replacement(const Parents& parents,
+                            const std::vector<RegionDescriptor>& children);
   void janitor_sweep() TFR_REQUIRES(balancer_mutex_);
   std::string pick_live_server_locked(std::size_t salt) const TFR_REQUIRES(mutex_);
   /// Re-flush one region's split-WAL edits through the data path (routed by
@@ -242,6 +238,10 @@ class Master {
   /// Advance a region's epoch by one: assignment map + registry + durable
   /// coord-KV record. Returns the new epoch.
   std::uint64_t bump_epoch_locked(const std::string& region_name) TFR_REQUIRES(mutex_);
+  /// Mirror a region's epoch grant into the registry and the durable
+  /// coord-KV record.
+  void publish_epoch_locked(const std::string& region_name, std::uint64_t epoch)
+      TFR_REQUIRES(mutex_);
 
   Dfs* dfs_;
   Coord* coord_;

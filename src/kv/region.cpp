@@ -38,6 +38,16 @@ std::string region_data_dir(const std::string& region_name) {
   return "/data/" + sanitize(region_name) + "/";
 }
 
+void clear_unregistered_region_dirs(Dfs& dfs, const std::vector<RegionDescriptor>& regions) {
+  for (const auto& region : regions) {
+    for (const auto& path : dfs.list(region_data_dir(region.name()))) {
+      TFR_IGNORE_STATUS(dfs.remove(path),
+                        "abandoned topology transition; markers in a never-registered "
+                        "dir are dead weight, not state — the region was never routed to");
+    }
+  }
+}
+
 Region::Region(RegionDescriptor desc, Dfs& dfs, BlockCache& cache,
                std::size_t store_block_bytes)
     : desc_(std::move(desc)), dfs_(&dfs), cache_(&cache),

@@ -40,6 +40,11 @@ std::string_view region_state_name(RegionState s);
 /// object for it exists.
 std::string region_data_dir(const std::string& region_name);
 
+/// Remove every file in the dirs of `regions`, which were never registered:
+/// the children of an abandoned split or merge. Best effort — such a dir
+/// holds only reference markers, never data, and was never routed to.
+void clear_unregistered_region_dirs(Dfs& dfs, const std::vector<RegionDescriptor>& regions);
+
 class Region {
  public:
   /// `store_block_bytes`: target block size for store files written by

@@ -16,7 +16,7 @@ RegionServer::RegionServer(std::string id, Dfs& dfs, Coord& coord, RegionServerC
       dfs_(&dfs),
       coord_(&coord),
       config_(config),
-      cache_(config.block_cache_bytes, config.block_cache_shards),
+      cache_(config.block_cache_bytes),
       handlers_(config.handler_slots),
       rpc_model_(config.rpc_latency, config.rpc_jitter),
       read_service_(config.read_service, 0),
@@ -543,155 +543,124 @@ Status RegionServer::open_region(const RegionDescriptor& desc,
   return Status::ok();
 }
 
-namespace {
-
-/// `ref-%06zu` marker name: zero-padded so a lexicographic directory sort
-/// preserves marker order, and "ref-" < "sf-" so inherited (older) files
-/// sort before files the region writes itself.
-std::string ref_marker_name(std::size_t index) {
-  char name[16];
-  std::snprintf(name, sizeof(name), "ref-%06zu", index);
-  return name;
-}
-
-}  // namespace
-
-Result<std::pair<RegionDescriptor, RegionDescriptor>> RegionServer::split_region(
-    const std::string& region_name) {
+Result<std::vector<RegionDescriptor>> RegionServer::replace_regions(
+    const std::vector<std::string>& parent_names, const MakeChildren& make_children) {
   if (!alive()) return Status::unavailable("server down: " + id_);
-  auto parent = region(region_name);
-  if (!parent) return Status::not_found("region not open: " + region_name);
-  if (parent->state() != RegionState::kOnline) {
-    return Status::unavailable("region not online: " + region_name);
+  std::vector<std::shared_ptr<Region>> parents;
+  for (const auto& name : parent_names) {
+    auto parent = region(name);
+    if (!parent) return Status::not_found("region not open: " + name);
+    if (parent->state() != RegionState::kOnline) {
+      return Status::unavailable("region not online: " + name);
+    }
+    parents.push_back(std::move(parent));
   }
 
-  // A region still reading through split/merge reference markers localizes
-  // its data first (HBase refuses to split a region with references). The
-  // markers make its apparent store size the WHOLE referenced parent file,
-  // so splitting again before localizing would cascade the size trigger
-  // down to single-row daughters.
-  if (parent->has_references()) {
-    TFR_RETURN_IF_ERROR(parent->compact(kNoTimestamp));
-  }
-
-  // Fence the parent locally: from here Region::apply rejects (under the
+  // Fence the parents locally: from here Region::apply rejects (under the
   // region mutex), so the flush below captures every acked write, and a
   // straggling compaction abandons its swap when it sees kOffline. Clients
-  // retry until the daughters come up. On any error the parent resumes
-  // serving untouched — its directory is never modified by a split.
-  parent->set_state(RegionState::kOffline);
+  // retry until the children come up.
+  for (const auto& parent : parents) parent->set_state(RegionState::kOffline);
+  std::vector<RegionDescriptor> children;
   auto abort = [&](Status why) {
-    parent->set_state(RegionState::kOnline);
+    clear_unregistered_region_dirs(*dfs_, children);
+    for (const auto& parent : parents) parent->set_state(RegionState::kOnline);
     return why;
   };
-  if (Status s = parent->flush_memstore(); !s.is_ok()) return abort(s);
-  auto split_key = parent->choose_split_key();
-  if (!split_key.is_ok()) return abort(split_key.status());
+  for (const auto& parent : parents) {
+    if (Status s = parent->flush_memstore(); !s.is_ok()) return abort(s);
+  }
+  auto made = make_children(parents);
+  if (!made.is_ok()) return abort(made.status());
+  children = std::move(made).value();
 
-  const RegionDescriptor& pd = parent->descriptor();
-  // Fresh region ids: the left daughter shares the parent's start key and
-  // must still be distinguishable from it (name, data dir, WAL grouping).
-  RegionDescriptor left{pd.table, pd.start_key, split_key.value(), next_region_id()};
-  RegionDescriptor right{pd.table, split_key.value(), pd.end_key, next_region_id()};
-
-  // The daughters inherit the parent's store files BY REFERENCE: one ref-N
-  // marker per parent file in each daughter's dir, holding the real path.
-  // No data is rewritten at split time — reads clip to the daughter's key
-  // range, daughter compactions localize the data later, and the master's
-  // janitor reclaims the parent dir once no marker anywhere points into it.
-  // Markers are numbered oldest-first so load_store_files reconstructs the
-  // parent's age order.
-  const std::vector<std::string> inherited = parent->store_file_paths();  // newest first
-  for (const RegionDescriptor& child : {left, right}) {
+  // The children inherit the parents' store files BY REFERENCE: one ref-N
+  // marker per parent file in each child's dir, holding the real path. No
+  // data is rewritten here — reads clip to the child's key range, child
+  // compactions localize the data later, and the master's janitor reclaims
+  // a parent dir once no marker anywhere points into it. Markers are
+  // numbered oldest-first per parent so load_store_files reconstructs the
+  // age order, and de-duplicated: sibling daughters merging back together
+  // can both reference the same grandparent file, which must appear once.
+  // Cross-parent age order is irrelevant for correctness — the parents
+  // cover disjoint ranges and reads resolve versions by timestamp. Names are
+  // zero-padded so a lexicographic dir sort keeps marker order, and "ref-"
+  // < "sf-" so inherited (older) files sort before the child's own.
+  std::vector<std::string> inherited;
+  for (const auto& parent : parents) {
+    const auto paths = parent->store_file_paths();  // newest first
+    for (auto it = paths.rbegin(); it != paths.rend(); ++it) {
+      if (std::find(inherited.begin(), inherited.end(), *it) == inherited.end()) {
+        inherited.push_back(*it);
+      }
+    }
+  }
+  for (const auto& child : children) {
     const std::string dir = region_data_dir(child.name());
     for (std::size_t i = 0; i < inherited.size(); ++i) {
-      const std::string& real = inherited[inherited.size() - 1 - i];
-      if (Status s = dfs_->write_file(dir + ref_marker_name(i), real); !s.is_ok()) {
-        for (const RegionDescriptor& c : {left, right}) {
-          for (const auto& p : dfs_->list(region_data_dir(c.name()))) {
-            TFR_IGNORE_STATUS(dfs_->remove(p),
-                              "aborted split; markers in a never-registered daughter "
-                              "dir are dead weight, not state");
-          }
-        }
+      char marker[32];
+      std::snprintf(marker, sizeof(marker), "ref-%06zu", i);
+      if (Status s = dfs_->write_file(dir + marker, inherited[i]); !s.is_ok()) {
         return abort(s);
       }
     }
   }
   {
     WriterLock lock(regions_mutex_);
-    regions_.erase(region_name);
+    for (const auto& name : parent_names) regions_.erase(name);
   }
-  TFR_LOG(INFO, "rs") << id_ << " split " << region_name << " at '" << split_key.value()
-                      << "' -> " << left.name() << " + " << right.name() << " ("
-                      << inherited.size() << " store files inherited by reference)";
-  return std::make_pair(left, right);
+  TFR_LOG(INFO, "rs") << id_ << " handed off " << parent_names.front() << " (+"
+                      << parent_names.size() - 1 << ") to " << children.size() << " region(s), "
+                      << inherited.size() << " store files inherited by reference";
+  return children;
+}
+
+Result<std::pair<RegionDescriptor, RegionDescriptor>> RegionServer::split_region(
+    const std::string& region_name) {
+  // A region still reading through split/merge reference markers localizes
+  // its data first (HBase refuses to split a region with references). The
+  // markers make its apparent store size the WHOLE referenced parent file,
+  // so splitting again before localizing would cascade the size trigger
+  // down to single-row daughters.
+  if (auto parent = region(region_name); parent && parent->state() == RegionState::kOnline &&
+                                         parent->has_references()) {
+    TFR_RETURN_IF_ERROR(parent->compact(kNoTimestamp));
+  }
+  auto children = replace_regions(
+      {region_name},
+      [](const std::vector<std::shared_ptr<Region>>& parents)
+          -> Result<std::vector<RegionDescriptor>> {
+        auto split_key = parents[0]->choose_split_key();
+        if (!split_key.is_ok()) return split_key.status();
+        const RegionDescriptor& pd = parents[0]->descriptor();
+        // Fresh region ids: the left daughter shares the parent's start key
+        // and must still be distinguishable from it (name, data dir, WAL
+        // grouping).
+        return std::vector<RegionDescriptor>{
+            {pd.table, pd.start_key, split_key.value(), next_region_id()},
+            {pd.table, split_key.value(), pd.end_key, next_region_id()}};
+      });
+  if (!children.is_ok()) return children.status();
+  return std::make_pair(children.value()[0], children.value()[1]);
 }
 
 Result<RegionDescriptor> RegionServer::merge_regions(const std::string& left_name,
                                                      const std::string& right_name) {
-  if (!alive()) return Status::unavailable("server down: " + id_);
-  auto left = region(left_name);
-  auto right = region(right_name);
-  if (!left || !right) {
-    return Status::not_found("region not open: " + (left ? right_name : left_name));
-  }
-  const RegionDescriptor& ld = left->descriptor();
-  const RegionDescriptor& rd = right->descriptor();
-  if (ld.table != rd.table || ld.end_key.empty() || ld.end_key != rd.start_key) {
-    return Status::invalid_argument("regions not adjacent: " + left_name + " + " + right_name);
-  }
-  if (left->state() != RegionState::kOnline || right->state() != RegionState::kOnline) {
-    return Status::unavailable("regions not online: " + left_name + " + " + right_name);
-  }
-
-  // Same local fence as a split, applied to both parents.
-  left->set_state(RegionState::kOffline);
-  right->set_state(RegionState::kOffline);
-  auto abort = [&](Status why) {
-    left->set_state(RegionState::kOnline);
-    right->set_state(RegionState::kOnline);
-    return why;
-  };
-  if (Status s = left->flush_memstore(); !s.is_ok()) return abort(s);
-  if (Status s = right->flush_memstore(); !s.is_ok()) return abort(s);
-
-  RegionDescriptor merged{ld.table, ld.start_key, rd.end_key, next_region_id()};
-  const std::string dir = region_data_dir(merged.name());
-  // One marker per parent store file, both parents, oldest-first per
-  // parent. De-duplicated: sibling daughters merging back together can
-  // both reference the same grandparent file, which must appear once.
-  // Cross-parent age order is irrelevant for correctness — the parents
-  // cover disjoint ranges and reads resolve versions by timestamp.
-  std::vector<std::string> inherited;
-  for (const auto& parent : {left, right}) {
-    auto paths = parent->store_file_paths();   // newest first
-    std::reverse(paths.begin(), paths.end());  // oldest first
-    for (auto& p : paths) {
-      if (std::find(inherited.begin(), inherited.end(), p) == inherited.end()) {
-        inherited.push_back(std::move(p));
-      }
-    }
-  }
-  for (std::size_t i = 0; i < inherited.size(); ++i) {
-    if (Status s = dfs_->write_file(dir + ref_marker_name(i), inherited[i]); !s.is_ok()) {
-      for (const auto& p : dfs_->list(dir)) {
-        TFR_IGNORE_STATUS(dfs_->remove(p),
-                          "aborted merge; markers in a never-registered merged dir "
-                          "are dead weight, not state");
-      }
-      return abort(s);
-    }
-  }
-  {
-    WriterLock lock(regions_mutex_);
-    regions_.erase(left_name);
-    regions_.erase(right_name);
-  }
-  TFR_LOG(INFO, "rs") << id_ << " merged " << left_name << " + " << right_name << " -> "
-                      << merged.name() << " (" << inherited.size()
-                      << " store files inherited by reference)";
-  return merged;
+  auto merged = replace_regions(
+      {left_name, right_name},
+      [](const std::vector<std::shared_ptr<Region>>& parents)
+          -> Result<std::vector<RegionDescriptor>> {
+        const RegionDescriptor& ld = parents[0]->descriptor();
+        const RegionDescriptor& rd = parents[1]->descriptor();
+        if (!ld.precedes(rd)) {
+          return Status::invalid_argument("regions not adjacent: " + ld.name() + " + " +
+                                          rd.name());
+        }
+        return std::vector<RegionDescriptor>{
+            {ld.table, ld.start_key, rd.end_key, next_region_id()}};
+      });
+  if (!merged.is_ok()) return merged.status();
+  return merged.value()[0];
 }
 
 Status RegionServer::offload_region(const std::string& region_name) {

@@ -62,9 +62,6 @@ struct RegionServerConfig {
 
   std::size_t memstore_flush_bytes = 64ull << 20;
   std::size_t block_cache_bytes = 256ull << 20;
-  /// LRU stripes in the block cache (rounded up to a power of two); more
-  /// stripes = less reader contention, coarser per-stripe LRU.
-  std::size_t block_cache_shards = 16;
   std::size_t store_block_bytes = 16 * 1024;  // store-file block granularity
 
   /// Compact a region once it accumulates this many store files (0 = never).
@@ -181,24 +178,18 @@ class RegionServer {
   /// exposed for tests.
   void maybe_roll_wal();
 
-  /// The server-local half of a region split: fence the parent (applies
-  /// reject, the flush drains every acked write), choose the split key from
-  /// store-file metadata, write each daughter's `ref-N` store-file
-  /// reference markers (no data is rewritten), retire the parent object.
-  /// Returns the daughters' descriptors; the MASTER commits the transition
-  /// — epoch bump, assignment + durable split record, floor-inheritance
-  /// hook — and then opens the daughters (so the region gate runs under
-  /// the new epoch). On error the parent resumes serving untouched.
-  /// During the cutover the covered key range is Unavailable; clients
-  /// re-locate and retry.
+  /// The server-local half of a region split: localize the parent's
+  /// reference markers (compact) if it has any, then hand it off (see
+  /// replace_regions) to two daughters split at a key chosen from
+  /// store-file metadata. The MASTER then commits the transition and opens
+  /// the daughters. During the cutover the covered key range is
+  /// Unavailable; clients re-locate and retry.
   Result<std::pair<RegionDescriptor, RegionDescriptor>> split_region(
       const std::string& region_name);
 
   /// The server-local half of merging two ADJACENT regions hosted here
-  /// (left.end_key == right.start_key): fence + flush both, write the
-  /// merged region's reference markers to both parents' store files,
-  /// retire both parent objects. Same contract as split_region: the master
-  /// commits and opens the merged region.
+  /// (left.end_key == right.start_key): the same hand-off as split_region,
+  /// to one merged region. Same contract: the master commits and opens it.
   Result<RegionDescriptor> merge_regions(const std::string& left_name,
                                          const std::string& right_name);
 
@@ -276,6 +267,17 @@ class RegionServer {
   /// observe. Caller has decoded the request, checked liveness, and holds
   /// a handler slot.
   Status apply_decoded(const ApplyRequest& req);
+  /// The hand-off shared by splits and merges: fence the online parents
+  /// (applies reject, so the flush drains every acked write), flush them,
+  /// derive the children from the flushed parents, write each child's
+  /// `ref-N` store-file reference markers (no data is rewritten) and retire
+  /// the parent objects. On any error — including one from `make_children`
+  /// — the parents go back online and the children's dirs are cleared; the
+  /// parents' own dirs are never modified.
+  using MakeChildren = std::function<Result<std::vector<RegionDescriptor>>(
+      const std::vector<std::shared_ptr<Region>>& parents)>;
+  Result<std::vector<RegionDescriptor>> replace_regions(
+      const std::vector<std::string>& parent_names, const MakeChildren& make_children);
   void heartbeat_tick();
   /// Publish the per-server load report + per-region traffic gauges.
   void report_load();

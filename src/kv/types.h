@@ -98,6 +98,11 @@ struct RegionDescriptor {
     return row >= start_key && (end_key.empty() || row < end_key);
   }
 
+  /// True when `right` starts where this region ends (a mergeable pair).
+  bool precedes(const RegionDescriptor& right) const {
+    return table == right.table && !end_key.empty() && end_key == right.start_key;
+  }
+
   bool operator==(const RegionDescriptor&) const = default;
 };
 

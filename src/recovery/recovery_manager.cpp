@@ -160,7 +160,7 @@ void RecoveryManager::publish_locked() {
   published_tp_.store(tp, std::memory_order_release);
   coord_->put(kTfPath, tf);
   coord_->put(kTpPath, tp);
-  if (config_.checkpoint_log && !config_.ignore_thresholds) tm_->checkpoint(tp);
+  if (!config_.ignore_thresholds) tm_->checkpoint(tp);
 }
 
 void RecoveryManager::poll_tick() {
@@ -320,26 +320,11 @@ void RecoveryManager::on_server_failure(const std::string& server_id,
   for (const auto& r : regions) {
     // The master bumped the region's epoch before invoking this hook; record
     // it so the gate below (and an RM resuming from the durable markers) can
-    // insist the replay target holds at least this fenced grant.
-    const std::uint64_t fenced = master_->region_epoch(r);
-    auto [it, inserted] =
-        pending_regions_.try_emplace(r, PendingRegion{server_id, tpr, fenced});
-    if (!inserted) {
-      // Cascade: the region was still mid-recovery from an earlier failure
-      // when its new owner died too. Inherit the stricter replay bound —
-      // TP(s') := min(TP(s'), TP(s)) (§3.2) — and the newest fence, so the
-      // eventual gate replays everything either failure could have lost and
-      // rejects any pre-cascade grant.
-      it->second.failed_server = server_id;
-      it->second.tpr = std::min(it->second.tpr, tpr);
-      it->second.fenced_epoch = std::max(it->second.fenced_epoch, fenced);
-    }
-    // Durable marker first: the master only starts reassigning regions after
-    // this hook returns, so by the time any gate can fire the pending set —
-    // and therefore the replay obligation — is already crash-safe.
-    coord_->put(kRecoveringRegionPrefix + r, it->second.tpr);
-    coord_->put(kRecoveringEpochPrefix + r,
-                static_cast<std::int64_t>(it->second.fenced_epoch));
+    // insist the replay target holds at least this fenced grant. Durable
+    // marker first: the master only starts reassigning regions after this
+    // hook returns, so by the time any gate can fire the pending set — and
+    // therefore the replay obligation — is already crash-safe.
+    arm_pending_locked(r, PendingRegion{server_id, tpr, master_->region_epoch(r)});
   }
   ++stats_.server_recoveries;
   publish_locked();
@@ -347,74 +332,56 @@ void RecoveryManager::on_server_failure(const std::string& server_id,
                       << regions.size() << " regions to recover";
 }
 
-void RecoveryManager::on_region_split(const std::string& parent,
-                                      const std::vector<std::string>& daughters,
-                                      std::uint64_t new_epoch) {
-  MutexLock lock(mutex_);
-  auto pit = pending_regions_.find(parent);
-  if (pit == pending_regions_.end()) return;  // parent had nothing pending
-  const PendingRegion inherited = pit->second;
-  // TP-inheritance extended to splits: each daughter's replay bound is
-  // min-merged with the parent's TPr, under the transition's fenced epoch,
-  // and made durable FIRST — only then is the parent's entry (and marker)
-  // erased. An RM crash anywhere in between leaves a superset of the
-  // obligation, never a gap, and the TP floor never lifts (the daughters'
-  // min equals the parent's floor before the erase happens).
-  for (const auto& d : daughters) {
-    auto [it, inserted] = pending_regions_.try_emplace(
-        d, PendingRegion{inherited.failed_server, inherited.tpr, new_epoch});
-    if (!inserted) {
-      it->second.tpr = std::min(it->second.tpr, inherited.tpr);
-      it->second.fenced_epoch = std::max(it->second.fenced_epoch, new_epoch);
-    }
-    coord_->put(kRecoveringRegionPrefix + d, it->second.tpr);
-    coord_->put(kRecoveringEpochPrefix + d, static_cast<std::int64_t>(it->second.fenced_epoch));
-    ++stats_.split_floor_inheritances;
+void RecoveryManager::arm_pending_locked(const std::string& region, const PendingRegion& floor) {
+  auto [it, inserted] = pending_regions_.try_emplace(region, floor);
+  if (!inserted) {
+    // Cascade (or a topology change landing on a pending name): the region
+    // is still mid-recovery from an earlier obligation. Inherit the stricter
+    // replay bound — TP(s') := min(TP(s'), TP(s)) (§3.2) — and the newest
+    // fence, so the eventual gate replays everything either obligation
+    // could have lost and rejects any earlier grant.
+    it->second.failed_server = floor.failed_server;
+    it->second.tpr = std::min(it->second.tpr, floor.tpr);
+    it->second.fenced_epoch = std::max(it->second.fenced_epoch, floor.fenced_epoch);
   }
-  pending_regions_.erase(parent);
-  coord_->erase(kRecoveringRegionPrefix + parent);
-  coord_->erase(kRecoveringEpochPrefix + parent);
-  publish_locked();
-  TFR_LOG(INFO, "rm") << "split of recovering region " << parent << ": replay floor TPr="
-                      << inherited.tpr << " migrated to " << daughters.size()
-                      << " daughters (epoch " << new_epoch << ")";
+  coord_->put(kRecoveringRegionPrefix + region, it->second.tpr);
+  coord_->put(kRecoveringEpochPrefix + region, static_cast<std::int64_t>(it->second.fenced_epoch));
 }
 
-void RecoveryManager::on_regions_merged(const std::string& merged,
-                                        const std::vector<std::string>& parents,
-                                        std::uint64_t new_epoch) {
+void RecoveryManager::disarm_pending_locked(const std::string& region) {
+  pending_regions_.erase(region);
+  coord_->erase(kRecoveringRegionPrefix + region);
+  coord_->erase(kRecoveringEpochPrefix + region);
+}
+
+void RecoveryManager::on_regions_replaced(const std::vector<std::string>& parents,
+                                          const std::vector<std::string>& children,
+                                          std::uint64_t new_epoch) {
   MutexLock lock(mutex_);
-  Timestamp tpr = kMaxTimestamp;
-  std::string from;
+  const PendingRegion* floor = nullptr;  // smallest pending floor over the parents
   for (const auto& p : parents) {
     auto it = pending_regions_.find(p);
-    if (it != pending_regions_.end() && it->second.tpr < tpr) {
-      tpr = it->second.tpr;
-      from = it->second.failed_server;
+    if (it != pending_regions_.end() && (floor == nullptr || it->second.tpr < floor->tpr)) {
+      floor = &it->second;
     }
   }
-  if (tpr == kMaxTimestamp) return;  // no parent had anything pending
-  // Defensive: the master refuses to merge recovering regions, but a
-  // failure can land between its check and the commit. Same floors-first
-  // discipline as on_region_split.
-  auto [it, inserted] = pending_regions_.try_emplace(merged, PendingRegion{from, tpr, new_epoch});
-  if (!inserted) {
-    it->second.tpr = std::min(it->second.tpr, tpr);
-    it->second.fenced_epoch = std::max(it->second.fenced_epoch, new_epoch);
+  if (floor == nullptr) return;  // no parent had anything pending
+  const PendingRegion inherited = *floor;
+  // TP-inheritance extended to topology changes: each child's replay bound
+  // is min-merged with the parents' smallest TPr, under the transition's
+  // fenced epoch, and made durable FIRST — only then are the parents'
+  // entries (and markers) erased. An RM crash anywhere in between leaves a
+  // superset of the obligation, never a gap, and the TP floor never lifts
+  // (the children's min equals the parents' floor before the erase).
+  for (const auto& c : children) {
+    arm_pending_locked(c, PendingRegion{inherited.failed_server, inherited.tpr, new_epoch});
+    ++stats_.floor_inheritances;
   }
-  coord_->put(kRecoveringRegionPrefix + merged, it->second.tpr);
-  coord_->put(kRecoveringEpochPrefix + merged,
-              static_cast<std::int64_t>(it->second.fenced_epoch));
-  ++stats_.merge_floor_inheritances;
-  for (const auto& p : parents) {
-    pending_regions_.erase(p);
-    coord_->erase(kRecoveringRegionPrefix + p);
-    coord_->erase(kRecoveringEpochPrefix + p);
-  }
+  for (const auto& p : parents) disarm_pending_locked(p);
   publish_locked();
-  TFR_LOG(WARN, "rm") << "merge folded pending replay floors of " << parents.size()
-                      << " parents into " << merged << " (TPr=" << tpr << ", epoch "
-                      << new_epoch << ")";
+  TFR_LOG(INFO, "rm") << "topology change of recovering region(s): replay floor TPr="
+                      << inherited.tpr << " migrated from " << parents.size() << " parent(s) to "
+                      << children.size() << " child(ren) (epoch " << new_epoch << ")";
 }
 
 bool RecoveryManager::is_region_recovering(const std::string& region) {
@@ -481,9 +448,7 @@ void RecoveryManager::on_region_recovered(const std::string& region_name,
       // Release this region's TP floor; once the last region of the failure
       // is erased the replayed write-sets are the hosting servers'
       // responsibility (they inherited TPr(s) via the piggyback).
-      pending_regions_.erase(it);
-      coord_->erase(kRecoveringRegionPrefix + region_name);
-      coord_->erase(kRecoveringEpochPrefix + region_name);
+      disarm_pending_locked(region_name);
     } else if (it != pending_regions_.end()) {
       // The entry was re-armed by a later failure (cascade) while this gate
       // was replaying: our snapshot's obligation is consumed, but the newer

@@ -57,12 +57,10 @@ struct RecoveryManagerConfig {
   /// How often the RM ingests heartbeat payloads and refreshes TF/TP.
   Micros poll_interval = millis(100);
 
-  /// Truncate the TM log at TP on every refresh when true.
-  bool checkpoint_log = true;
-
   /// Ablation baseline: ignore the TF(c)/TP(s) thresholds during recovery
   /// and replay the whole recovery log (correct — replay is idempotent —
-  /// but "extremely inefficient", §3). Implies checkpoint_log = false.
+  /// but "extremely inefficient", §3). The TM log is truncated at TP on
+  /// every refresh unless this is set.
   bool ignore_thresholds = false;
 };
 
@@ -74,10 +72,9 @@ struct RecoveryManagerStats {
   std::int64_t writesets_replayed_server = 0;
   std::int64_t threshold_refreshes = 0;
   /// Pending replay floors migrated across topology transitions: one count
-  /// per daughter that min-inherited a splitting parent's floor, resp. per
-  /// merged region that min-inherited its parents' floors.
-  std::int64_t split_floor_inheritances = 0;
-  std::int64_t merge_floor_inheritances = 0;
+  /// per child region (split daughter or merged region) that min-inherited
+  /// its parents' floor.
+  std::int64_t floor_inheritances = 0;
 };
 
 /// Coordination-service paths where the global thresholds are published.
@@ -126,17 +123,16 @@ class RecoveryManager : public MasterHooks {
   void on_server_failure(const std::string& server_id,
                          const std::vector<std::string>& regions) override;
 
-  /// Topology transitions (§9). A splitting parent's pending replay floor
-  /// migrates to BOTH daughters (TP-inheritance extended to splits: each
-  /// daughter's TPr is min-merged with the parent's); only after the
-  /// daughters durably hold the floor is the parent's entry erased
-  /// (floors-before-erase). A merge min-inherits any parent's pending
-  /// floor into the merged region the same way — defensively, since the
-  /// master refuses merges of recovering regions via is_region_recovering.
-  void on_region_split(const std::string& parent, const std::vector<std::string>& daughters,
-                       std::uint64_t new_epoch) override;
-  void on_regions_merged(const std::string& merged, const std::vector<std::string>& parents,
-                         std::uint64_t new_epoch) override;
+  /// Topology transitions (§9): a split or a merge replaced `parents` by
+  /// `children`. The smallest pending replay floor over the parents
+  /// migrates to EVERY child (TP-inheritance extended to topology changes:
+  /// each child's TPr is min-merged with it); only after the children
+  /// durably hold the floor are the parents' entries erased
+  /// (floors-before-erase). For a merge this is defensive — the master
+  /// refuses merges of recovering regions via is_region_recovering.
+  void on_regions_replaced(const std::vector<std::string>& parents,
+                           const std::vector<std::string>& children,
+                           std::uint64_t new_epoch) override;
   bool is_region_recovering(const std::string& region) override;
 
   /// Region gate, called by a region server after internal recovery and
@@ -208,6 +204,13 @@ class RecoveryManager : public MasterHooks {
     std::uint64_t fenced_epoch = 0;
   };
   std::map<std::string, PendingRegion> pending_regions_ TFR_GUARDED_BY(mutex_);
+  /// Arm `region`'s replay obligation at `floor`, or — if it is already
+  /// pending — min-merge the TPr and max-merge the fenced epoch; then write
+  /// its durable markers.
+  void arm_pending_locked(const std::string& region, const PendingRegion& floor)
+      TFR_REQUIRES(mutex_);
+  /// Drop `region`'s replay obligation and its durable markers.
+  void disarm_pending_locked(const std::string& region) TFR_REQUIRES(mutex_);
 
   /// Tombstones for servers whose failure was already handled but whose
   /// coordination session has not expired yet (the master can detect a death

@@ -7,6 +7,11 @@
 
 namespace tfr {
 
+namespace {
+// Cap on write-sets per group-commit batch.
+constexpr std::size_t kMaxBatch = 256;
+}  // namespace
+
 TxnLog::TxnLog(TxnLogConfig config)
     : config_(config),
       gc_task_([this] { gc_now(); }, config.gc_interval > 0 ? config.gc_interval : millis(20)) {
@@ -91,7 +96,7 @@ void TxnLog::appender_loop() {
       MutexLock lock(mutex_);
       while (queue_.empty() && !stop_) work_cv_.wait(lock);
       if (stop_) return;
-      if (queue_.size() < config_.max_batch &&
+      if (queue_.size() < kMaxBatch &&
           static_cast<double>(queue_.size()) < ewma_batch_) {
         // The queue at wake is shallower than the recent batch size: more
         // appenders are likely mid-flight, so hold the sync briefly to let
@@ -101,14 +106,14 @@ void TxnLog::appender_loop() {
             std::min(static_cast<Micros>(ewma_sync_us_ / 2), config_.max_group_wait);
         const auto deadline =
             std::chrono::steady_clock::now() + std::chrono::microseconds(window);
-        while (!stop_ && queue_.size() < config_.max_batch &&
+        while (!stop_ && queue_.size() < kMaxBatch &&
                static_cast<double>(queue_.size()) < ewma_batch_) {
           waited = true;
           if (!work_cv_.wait_until(lock, deadline)) break;
         }
         if (stop_) return;
       }
-      const std::size_t take = std::min(queue_.size(), config_.max_batch);
+      const std::size_t take = std::min(queue_.size(), kMaxBatch);
       batch.assign(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(take));
       queue_.erase(queue_.begin(), queue_.begin() + static_cast<std::ptrdiff_t>(take));
     }

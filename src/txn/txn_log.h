@@ -54,7 +54,6 @@ namespace tfr {
 struct TxnLogConfig {
   Micros sync_latency = 0;  ///< stable-storage write per group-commit batch
   Micros sync_jitter = 0;
-  std::size_t max_batch = 256;  ///< cap on write-sets per batch
 
   /// Group-commit accumulation window: when the appender wakes to a queue
   /// shallower than the recent batch size, it holds the stable-storage write

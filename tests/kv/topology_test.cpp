@@ -151,8 +151,9 @@ TEST(TopologyClusterTest, SplitInheritsFilesByReference) {
     ASSERT_TRUE(v.is_ok());
     ASSERT_TRUE(v.value().has_value()) << row;
   }
-  // The transition left a durable split record for the janitor.
-  EXPECT_EQ(cluster.coord().list(kSplitRecordPrefix).size(), 1u);
+  // The transition left one durable retired record (the parent) for the
+  // janitor.
+  EXPECT_EQ(cluster.coord().list(kRetiredRecordPrefix).size(), 1u);
 }
 
 TEST(TopologyClusterTest, CompactionDereferencesAndJanitorReclaims) {
@@ -168,23 +169,49 @@ TEST(TopologyClusterTest, CompactionDereferencesAndJanitorReclaims) {
   // While refs are live the janitor must not touch the parent dir.
   cluster.master().balance_once();
   EXPECT_FALSE(cluster.dfs().list(region_data_dir(parent)).empty());
-  EXPECT_EQ(cluster.coord().list(kSplitRecordPrefix).size(), 1u);
+  EXPECT_EQ(cluster.coord().list(kRetiredRecordPrefix).size(), 1u);
 
   // Compacting each daughter rewrites its half locally and drops the marker.
-  for (const auto& r : cluster.master().table_regions("t")) {
-    auto* server = cluster.master().server_stub(r.server_id);
-    ASSERT_NE(server, nullptr);
-    ASSERT_TRUE(server->compact_region(r.region_name).is_ok());
-    auto region = server->region(r.region_name);
-    ASSERT_NE(region, nullptr);
-    EXPECT_FALSE(region->has_references());
-    EXPECT_EQ(count_ref_markers(cluster.dfs(), r.region_name), 0u);
-  }
+  auto compact_all = [&] {
+    for (const auto& r : cluster.master().table_regions("t")) {
+      auto* server = cluster.master().server_stub(r.server_id);
+      ASSERT_NE(server, nullptr);
+      ASSERT_TRUE(server->compact_region(r.region_name).is_ok());
+      auto region = server->region(r.region_name);
+      ASSERT_NE(region, nullptr);
+      EXPECT_FALSE(region->has_references());
+      EXPECT_EQ(count_ref_markers(cluster.dfs(), r.region_name), 0u);
+    }
+  };
+  compact_all();
 
   // Now the janitor reclaims the retired parent dir and the record.
   cluster.master().balance_once();
   EXPECT_TRUE(cluster.dfs().list(region_data_dir(parent)).empty());
-  EXPECT_TRUE(cluster.coord().list(kSplitRecordPrefix).empty());
+  EXPECT_TRUE(cluster.coord().list(kRetiredRecordPrefix).empty());
+
+  // A merge retires both daughters the same way: one record each, kept
+  // while the merged region still reads through their files.
+  auto daughters = cluster.master().table_regions("t");
+  ASSERT_EQ(daughters.size(), 2u);
+  if (!daughters[0].descriptor.start_key.empty()) std::swap(daughters[0], daughters[1]);
+  ASSERT_TRUE(cluster.master()
+                  .merge_regions(daughters[0].region_name, daughters[1].region_name)
+                  .is_ok());
+  cluster.master().balance_once();
+  EXPECT_EQ(cluster.coord().list(kRetiredRecordPrefix).size(), 2u);
+  for (const auto& d : daughters) {
+    EXPECT_FALSE(cluster.dfs().list(region_data_dir(d.region_name)).empty()) << d.region_name;
+  }
+
+  // Compacting the merged region drops its markers; the next tick purges
+  // both retired daughters' dirs and erases both records.
+  compact_all();
+  cluster.master().balance_once();
+  for (const auto& d : daughters) {
+    EXPECT_TRUE(cluster.dfs().list(region_data_dir(d.region_name)).empty()) << d.region_name;
+  }
+  EXPECT_TRUE(cluster.coord().list(kRetiredRecordPrefix).empty());
 
   for (int i = 0; i < 100; i += 11) {
     char row[16];
@@ -212,7 +239,8 @@ TEST(TopologyClusterTest, MergeAdjacentRegions) {
   ASSERT_EQ(regions.size(), 1u);
   EXPECT_TRUE(regions[0].descriptor.start_key.empty());
   EXPECT_TRUE(regions[0].descriptor.end_key.empty());
-  EXPECT_EQ(cluster.coord().list(kMergeRecordPrefix).size(), 1u);
+  // One retired record per parent.
+  EXPECT_EQ(cluster.coord().list(kRetiredRecordPrefix).size(), 2u);
   for (int i = 0; i < 100; i += 7) {
     char row[16];
     std::snprintf(row, sizeof(row), "row%05d", i);
@@ -238,6 +266,95 @@ TEST(TopologyClusterTest, MergeRefusesNonAdjacentRegions) {
                 .merge_regions(regions[1].region_name, regions[0].region_name)
                 .code(),
             Code::kInvalidArgument);
+}
+
+// --- the shared abort path --------------------------------------------------
+
+// Fail the first DFS sync under /data/: with the parents' memstores already
+// flushed, that is the first ref- marker write of the hand-off.
+void fail_first_marker_write(Cluster& cluster) {
+  FaultRule rule;
+  rule.op = FaultOp::kDfsSync;
+  rule.target = "/data/";
+  rule.fail_next = 1;
+  cluster.fault().add_rule(rule);
+  cluster.fault().set_enabled(true);
+}
+
+// An aborted transition leaves the assignment as it was, every parent online
+// and serving reads, no ref- marker anywhere and no retired record.
+void expect_aborted_cleanly(Cluster& cluster, KvClient& client,
+                            const std::vector<RegionLocation>& before) {
+  const auto after = cluster.master().table_regions("t");
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    EXPECT_EQ(after[i].region_name, before[i].region_name);
+    EXPECT_EQ(after[i].server_id, before[i].server_id);
+    EXPECT_EQ(after[i].epoch, before[i].epoch);
+    auto region = cluster.master().server_stub(after[i].server_id)->region(after[i].region_name);
+    ASSERT_NE(region, nullptr);
+    // Fatal: reads of an offline region would retry forever.
+    ASSERT_EQ(region->state(), RegionState::kOnline) << after[i].region_name;
+  }
+  for (int i = 0; i < 100; i += 9) {
+    char row[16];
+    std::snprintf(row, sizeof(row), "row%05d", i);
+    auto v = client.get("t", row, "c", 100);
+    ASSERT_TRUE(v.is_ok());
+    ASSERT_TRUE(v.value().has_value()) << row;
+  }
+  for (const auto& path : cluster.dfs().list("/data/")) {
+    EXPECT_EQ(path.find("/ref-"), std::string::npos) << path;
+  }
+  EXPECT_TRUE(cluster.coord().list(kRetiredRecordPrefix).empty());
+}
+
+TEST(TopologyClusterTest, SplitMarkerWriteFailureAbortsCleanly) {
+  Cluster cluster(topo_cluster(1));
+  ASSERT_TRUE(cluster.start().is_ok());
+  ASSERT_TRUE(cluster.master().create_table("t", {}).is_ok());
+  KvClient client(cluster.master(), millis(1));
+  ASSERT_TRUE(client.flush_writeset(rows_ws(1, 0, 100)).is_ok());
+
+  const auto before = cluster.master().table_regions("t");
+  ASSERT_EQ(before.size(), 1u);
+  const std::string parent = before[0].region_name;
+  auto* host = cluster.master().server_stub(before[0].server_id);
+  ASSERT_TRUE(host->region(parent)->flush_memstore().is_ok());
+
+  fail_first_marker_write(cluster);
+  EXPECT_TRUE(cluster.master().split_region(parent).is_unavailable());
+  expect_aborted_cleanly(cluster, client, before);
+
+  cluster.fault().clear_rules();
+  ASSERT_TRUE(cluster.master().split_region(parent).is_ok());
+  EXPECT_EQ(cluster.master().table_regions("t").size(), 2u);
+}
+
+TEST(TopologyClusterTest, MergeMarkerWriteFailureAbortsCleanly) {
+  Cluster cluster(topo_cluster(1));
+  ASSERT_TRUE(cluster.start().is_ok());
+  ASSERT_TRUE(cluster.master().create_table("t", {"row00050"}).is_ok());
+  KvClient client(cluster.master(), millis(1));
+  ASSERT_TRUE(client.flush_writeset(rows_ws(1, 0, 100)).is_ok());
+
+  const auto before = cluster.master().table_regions("t");
+  ASSERT_EQ(before.size(), 2u);
+  for (const auto& loc : before) {
+    auto* host = cluster.master().server_stub(loc.server_id);
+    ASSERT_TRUE(host->region(loc.region_name)->flush_memstore().is_ok());
+  }
+  // table_regions is sorted by start key: ["", row00050), [row00050, "").
+  const std::string left = before[0].region_name;
+  const std::string right = before[1].region_name;
+
+  fail_first_marker_write(cluster);
+  EXPECT_TRUE(cluster.master().merge_regions(left, right).is_unavailable());
+  expect_aborted_cleanly(cluster, client, before);
+
+  cluster.fault().clear_rules();
+  ASSERT_TRUE(cluster.master().merge_regions(left, right).is_ok());
+  EXPECT_EQ(cluster.master().table_regions("t").size(), 1u);
 }
 
 TEST(TopologyClusterTest, BalancerSplitsOversizedRegionAndCountsIt) {
