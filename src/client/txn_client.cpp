@@ -151,19 +151,16 @@ void TxnClient::crash() {
                           << " unflushed transactions (TF=" << tracker_.tf() << ")";
 }
 
-Timestamp TxnClient::pick_snapshot() const {
+Transaction TxnClient::begin(const std::string& table) {
   if (config_.snapshot == SnapshotMode::kStable) {
     // Read at the published global flush threshold: everything at or below
-    // it is fully flushed, so snapshots are never torn. Falls back to the
-    // oracle when no recovery manager has published TF yet.
-    if (auto tf = coord_->get(kTfPath)) return *tf;
+    // it is fully flushed, so snapshots are never torn. The TM raises the
+    // pick if TP was checkpointed past it before it registered.
+    if (auto tf = coord_->get(kTfPath)) return Transaction(this, table, tm_->begin(*tf, id_));
   }
-  return tm_->current_ts();
-}
-
-Transaction TxnClient::begin(const std::string& table) {
-  const Timestamp snapshot = pick_snapshot();
-  return Transaction(this, table, tm_->begin(snapshot, id_));
+  // kLatest, or no recovery manager has published TF yet: the TM picks the
+  // newest commit timestamp under the lock that registers the snapshot.
+  return Transaction(this, table, tm_->begin_latest(id_));
 }
 
 Result<std::optional<Cell>> TxnClient::read(const std::string& table, const std::string& row,

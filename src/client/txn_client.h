@@ -157,7 +157,6 @@ class TxnClient {
  private:
   friend class Transaction;
 
-  Timestamp pick_snapshot() const;
   Result<Timestamp> commit_writeset(const TxnHandle& handle, WriteSet ws);
   Result<std::optional<Cell>> read(const std::string& table, const std::string& row,
                                    const std::string& column, Timestamp read_ts);

@@ -36,6 +36,10 @@ Counter& cache_single_flight_waits() {
   static Counter& c = global_counter("kv.cache.single_flight_waits");
   return c;
 }
+Counter& cache_write_inserts() {
+  static Counter& c = global_counter("kv.cache.write_inserts");
+  return c;
+}
 }  // namespace
 
 BlockCache::BlockCache(std::size_t capacity_bytes, std::size_t num_shards)
@@ -86,19 +90,22 @@ Result<BlockPtr> BlockCache::get_or_load(const std::string& key,
   s.loading.erase(key);
   s.load_done.notify_all();
   if (!loaded.is_ok()) return loaded;
-  BlockPtr block = loaded.value();
-  auto it = s.map.find(key);
-  if (it != s.map.end()) {
-    // Raced an insert (only possible via clear/invalidate interleavings);
-    // keep the existing entry.
-    s.lru.splice(s.lru.begin(), s.lru, it->second.lru_it);
+  return s.insert_locked(key, loaded.value());
+}
+
+BlockPtr BlockCache::Shard::insert_locked(const std::string& key, BlockPtr block) {
+  auto it = map.find(key);
+  if (it != map.end()) {
+    // Raced an insert (a cache-on-write or a clear/erase interleaving):
+    // the file is immutable, so keep the existing entry.
+    lru.splice(lru.begin(), lru, it->second.lru_it);
     return it->second.block;
   }
-  s.lru.push_front(key);
-  s.map[key] = Shard::Entry{block, s.lru.begin()};
-  s.stats.bytes += static_cast<std::int64_t>(block->byte_size);
+  lru.push_front(key);
+  map[key] = Entry{block, lru.begin()};
+  stats.bytes += static_cast<std::int64_t>(block->byte_size);
   cache_bytes().add(static_cast<std::int64_t>(block->byte_size));
-  s.evict_to_fit();
+  evict_to_fit();
   return block;
 }
 
@@ -117,21 +124,23 @@ void BlockCache::Shard::evict_to_fit() {
   }
 }
 
-void BlockCache::invalidate_prefix(const std::string& prefix) {
-  for (auto& shard : shards_) {
-    Shard& s = *shard;
-    MutexLock lock(s.mutex);
-    for (auto it = s.map.begin(); it != s.map.end();) {
-      if (it->first.compare(0, prefix.size(), prefix) == 0) {
-        s.stats.bytes -= static_cast<std::int64_t>(it->second.block->byte_size);
-        cache_bytes().add(-static_cast<std::int64_t>(it->second.block->byte_size));
-        s.lru.erase(it->second.lru_it);
-        it = s.map.erase(it);
-      } else {
-        ++it;
-      }
-    }
-  }
+void BlockCache::insert(const std::string& key, BlockPtr block) {
+  Shard& s = shard_for(key);
+  MutexLock lock(s.mutex);
+  ++s.stats.write_inserts;
+  cache_write_inserts().add();
+  s.insert_locked(key, std::move(block));
+}
+
+void BlockCache::erase(const std::string& key) {
+  Shard& s = shard_for(key);
+  MutexLock lock(s.mutex);
+  auto it = s.map.find(key);
+  if (it == s.map.end()) return;
+  s.stats.bytes -= static_cast<std::int64_t>(it->second.block->byte_size);
+  cache_bytes().add(-static_cast<std::int64_t>(it->second.block->byte_size));
+  s.lru.erase(it->second.lru_it);
+  s.map.erase(it);
 }
 
 void BlockCache::clear() {
@@ -157,6 +166,7 @@ BlockCacheStats BlockCache::stats() const {
     total.evictions += s.stats.evictions;
     total.bytes += s.stats.bytes;
     total.single_flight_waits += s.stats.single_flight_waits;
+    total.write_inserts += s.stats.write_inserts;
   }
   return total;
 }

@@ -1,10 +1,19 @@
 // BlockCache — per-region-server LRU cache of decoded store-file blocks
 // (§2.1: "a large main-memory cache to reduce interactions with HDFS").
 //
-// A block that is not cached must be fetched from the DFS, which charges the
-// DFS read latency; this is the mechanism behind the slow warm-up after a
-// failover in Figure 3: the regions that move to the surviving server arrive
-// with a completely cold cache.
+// Blocks enter the cache two ways:
+//   * cache-on-write: a memstore flush or a compaction still holds the
+//     bytes of the store file it wrote, so once that file is attached to
+//     its region its blocks are decoded from memory and inserted directly
+//     (insert(); HBase's cacheblocksonwrite). The written working set
+//     therefore starts hot: gets, scans and the next compaction read it
+//     without touching the DFS. An output that is discarded, fenced or
+//     raced is never inserted.
+//   * read-through: a block that is not cached is fetched from the DFS,
+//     which charges the DFS read latency (get_or_load()). This remains the
+//     mechanism behind the slow warm-up after a failover in Figure 3: the
+//     regions that move to the surviving server open store files it never
+//     wrote, so they arrive with a completely cold cache.
 //
 // The cache is sharded into independent LRU stripes (key hash picks the
 // stripe) so concurrent readers don't serialize on one mutex, and each miss
@@ -13,9 +22,13 @@
 // result instead of stampeding the DFS with duplicate reads. A failed load
 // wakes the waiters and the next one retries as the new loader.
 //
+// Keys are "<store-file path>#<block index>"; a deleted store file erases
+// exactly its own keys (erase()), never scanning the stripes.
+//
 // Event counts are published both per-cache (stats()) and process-wide
-// under kv.cache.{hits,misses,evictions,bytes} in the global metrics
-// registry, so soaks and benches can watch hit rates without plumbing.
+// under kv.cache.{hits,misses,evictions,bytes,write_inserts} in the global
+// metrics registry, so soaks and benches can watch hit rates without
+// plumbing.
 #pragma once
 
 #include <cstdint>
@@ -50,6 +63,8 @@ struct BlockCacheStats {
   /// Lookups that found another thread already loading the key and waited
   /// for its result instead of re-running the loader.
   std::int64_t single_flight_waits = 0;
+  /// Blocks inserted by cache-on-write (flush and compaction output).
+  std::int64_t write_inserts = 0;
 };
 
 class BlockCache {
@@ -66,9 +81,14 @@ class BlockCache {
   Result<BlockPtr> get_or_load(const std::string& key,
                                const std::function<Result<BlockPtr>()>& loader);
 
-  /// Drop every block whose key starts with `prefix` (e.g. when a store file
-  /// is deleted after compaction).
-  void invalidate_prefix(const std::string& prefix);
+  /// Cache-on-write: insert an already-decoded block as the most recently
+  /// used entry, evicting as a load would. An entry already present for
+  /// `key` (a reader raced the insert and loaded the same immutable block)
+  /// is kept.
+  void insert(const std::string& key, BlockPtr block);
+
+  /// Drop `key` if cached (its store file was deleted).
+  void erase(const std::string& key);
 
   void clear();
 
@@ -91,6 +111,9 @@ class BlockCache {
     BlockCacheStats stats TFR_GUARDED_BY(mutex);
     std::size_t capacity = 0;
 
+    /// Insert `block` under `key` as most recent; returns the resident
+    /// entry (the existing one if `key` was already cached).
+    BlockPtr insert_locked(const std::string& key, BlockPtr block) TFR_REQUIRES(mutex);
     void evict_to_fit() TFR_REQUIRES(mutex);
   };
 

@@ -213,22 +213,30 @@ Status Region::finalize_store_file(StoreFileWriter& writer, const std::string& p
 }
 
 Status Region::flush_memstore() {
-  MutexLock lock(mutex_);
-  if (memstore_.cell_count() == 0) return Status::ok();
+  std::shared_ptr<StoreFileReader> attached;
   StoreFileWriter writer(store_block_bytes_);
-  for (const auto& c : memstore_.snapshot()) writer.add(c);
-  const std::string path = data_dir() + "sf-" + std::to_string(next_file_id_++);
-  // tfr-lint: blocking-ok(region lock held across the DFS write by design — writes must
-  // not land between snapshot and swap; kRegion is may_block=true in the rank table)
-  TFR_RETURN_IF_ERROR(finalize_store_file(writer, path));
-  auto reader = StoreFileReader::open(*dfs_, path);
-  if (!reader.is_ok()) return reader.status();
-  files_.insert(files_.begin(), reader.value());
-  TFR_LOG(DEBUG, "region") << name() << " flushed " << memstore_.cell_count() << " cells to "
-                           << path;
-  memstore_.clear();
-  // Everything this region had in the WAL is now in a durable store file.
-  min_unflushed_wal_seq_ = 0;
+  {
+    MutexLock lock(mutex_);
+    if (memstore_.cell_count() == 0) return Status::ok();
+    for (const auto& c : memstore_.snapshot()) writer.add(c);
+    const std::string path = data_dir() + "sf-" + std::to_string(next_file_id_++);
+    // tfr-lint: blocking-ok(region lock held across the DFS write by design — writes must
+    // not land between snapshot and swap; kRegion is may_block=true in the rank table)
+    TFR_RETURN_IF_ERROR(finalize_store_file(writer, path));
+    auto reader = StoreFileReader::open(*dfs_, path);
+    if (!reader.is_ok()) return reader.status();
+    attached = reader.value();
+    files_.insert(files_.begin(), attached);
+    TFR_LOG(DEBUG, "region") << name() << " flushed " << memstore_.cell_count() << " cells to "
+                             << path;
+    memstore_.clear();
+    // Everything this region had in the WAL is now in a durable store file.
+    min_unflushed_wal_seq_ = 0;
+  }
+  // Cache-on-write, outside the region lock. Holding `attached` orders the
+  // inserts before the erase a later compaction's deferred delete of this
+  // file performs, so no block of a deleted file is left behind.
+  attached->cache_written_blocks(*cache_, writer);
   return Status::ok();
 }
 
@@ -264,56 +272,59 @@ Status Region::compact(Timestamp prune_before_ts) {
     return s;
   };
 
-  std::vector<std::unique_ptr<CellIterator>> iters;
-  iters.reserve(inputs.size());
-  for (const auto& f : inputs) {
-    auto it = f->iterate(*cache_, "", "");
-    if (!it.is_ok()) return raced(it.status());
-    iters.push_back(std::move(it.value()));
-  }
-  MergingCellIterator merged(std::move(iters));
-
   StoreFileWriter writer(store_block_bytes_);
-  std::size_t kept = 0, dropped = 0;
-  while (merged.valid()) {
-    const std::string row = merged.cell().row;
-    const std::string column = merged.cell().column;
-    // Clip to the region's range: referenced parent files carry the sibling
-    // daughter's rows too, and a daughter's own output must not re-own them.
-    const bool in_range = desc_.contains(row);
-    // Versions of one column arrive newest-first. Keep everything newer
-    // than the prune horizon plus the newest survivor at/below it.
-    // Idempotent replay can leave byte-identical cells in several input
-    // files; the merge emits them adjacently and we collapse them here.
-    bool survivor_taken = false;
-    Timestamp prev_ts = 0;
-    bool have_prev = false;
-    while (merged.valid() && merged.cell().row == row && merged.cell().column == column) {
-      const Cell& c = merged.cell();
-      if (have_prev && c.ts == prev_ts) {
-        TFR_RETURN_IF_ERROR(raced(merged.advance()));  // duplicate across files
-        continue;
-      }
-      prev_ts = c.ts;
-      have_prev = true;
-      bool keep;
-      if (prune_before_ts == kNoTimestamp || c.ts > prune_before_ts) {
-        keep = true;
-      } else if (!survivor_taken) {
-        survivor_taken = true;
-        keep = !c.tombstone;  // a tombstone survivor means: fully deleted
-      } else {
-        keep = false;
-      }
-      if (keep && in_range) {
-        writer.add(c);
-        ++kept;
-      } else {
-        ++dropped;
-      }
-      TFR_RETURN_IF_ERROR(raced(merged.advance()));
+  std::size_t kept = 0, dropped = 0, pruned = 0;
+  {
+    std::vector<std::unique_ptr<CellIterator>> iters;
+    iters.reserve(inputs.size());
+    for (const auto& f : inputs) {
+      auto it = f->iterate(*cache_, "", "");
+      if (!it.is_ok()) return raced(it.status());
+      iters.push_back(std::move(it.value()));
     }
-  }
+    MergingCellIterator merged(std::move(iters));
+    while (merged.valid()) {
+      const std::string row = merged.cell().row;
+      const std::string column = merged.cell().column;
+      // Clip to the region's range: referenced parent files carry the
+      // sibling daughter's rows too, and a daughter's own output must not
+      // re-own them.
+      const bool in_range = desc_.contains(row);
+      // Versions of one column arrive newest-first. Keep everything newer
+      // than the prune horizon plus the newest survivor at/below it.
+      // Idempotent replay can leave byte-identical cells in several input
+      // files; the merge emits them adjacently and we collapse them here.
+      bool survivor_taken = false;
+      Timestamp prev_ts = 0;
+      bool have_prev = false;
+      while (merged.valid() && merged.cell().row == row && merged.cell().column == column) {
+        const Cell& c = merged.cell();
+        if (have_prev && c.ts == prev_ts) {
+          TFR_RETURN_IF_ERROR(raced(merged.advance()));  // duplicate across files
+          continue;
+        }
+        prev_ts = c.ts;
+        have_prev = true;
+        bool keep;
+        if (prune_before_ts == kNoTimestamp || c.ts > prune_before_ts) {
+          keep = true;
+        } else if (!survivor_taken) {
+          survivor_taken = true;
+          keep = !c.tombstone;  // a tombstone survivor means: fully deleted
+        } else {
+          keep = false;
+        }
+        if (keep && in_range) {
+          writer.add(c);
+          ++kept;
+        } else {
+          ++dropped;
+          if (in_range) ++pruned;
+        }
+        TFR_RETURN_IF_ERROR(raced(merged.advance()));
+      }
+    }
+  }  // the merge's iterators reference `inputs`; they end before the swap
 
   std::string path;
   {
@@ -349,8 +360,8 @@ Status Region::compact(Timestamp prune_before_ts) {
       auto ref = ref_markers_.find(f->path());
       if (ref == ref_markers_.end()) {
         // Replaced input we own: delete it when the last reference drops.
-        // In the common case that is right here (our `inputs` copy at scope
-        // exit); under a racing get/scan/compaction that snapshotted files_,
+        // In the common case that is when our `inputs` copy is released
+        // below; under a racing get/scan/compaction that snapshotted files_,
         // the reader keeps the file alive until that operation finishes.
         f->remove_on_last_ref(cache_);
       } else {
@@ -365,13 +376,21 @@ Status Region::compact(Timestamp prune_before_ts) {
     files_.clear();
     files_.push_back(reader.value());
   }
+  TFR_LOG(INFO, "region") << name() << " compacted " << inputs.size() << " files -> 1 ("
+                          << kept << " cells kept, " << dropped << " dropped, " << pruned
+                          << " below the horizon)";
+  static Counter& versions_pruned = global_counter("kv.compaction.versions_pruned");
+  versions_pruned.add(static_cast<std::int64_t>(pruned));
+  // Release the replaced inputs first (their blocks leave the cache unless
+  // a concurrent read still holds them), then cache the output: the cache
+  // makes room from what is dead, not from the LRU tail of live files.
+  inputs.clear();
+  reader.value()->cache_written_blocks(*cache_, writer);
   for (const auto& m : obsolete_markers) {
     TFR_IGNORE_STATUS(dfs_->remove(m),
                       "the inherited data was just rewritten locally; a leftover marker only "
                       "delays the janitor's parent-dir reclaim, it cannot corrupt reads");
   }
-  TFR_LOG(INFO, "region") << name() << " compacted " << inputs.size() << " files -> 1 ("
-                          << kept << " cells kept, " << dropped << " pruned)";
   return Status::ok();
 }
 

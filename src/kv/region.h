@@ -108,17 +108,23 @@ class Region {
 
   /// Flush the memstore to a new store file in the DFS and clear it. The
   /// region's updates become durable in the data files themselves, allowing
-  /// WAL truncation in a real system. No-op on an empty memstore.
+  /// WAL truncation in a real system. No-op on an empty memstore. Once the
+  /// file is attached its blocks are inserted into the block cache
+  /// (cache-on-write), so reads of just-flushed data stay off the DFS.
   TFR_BLOCKING Status flush_memstore();
 
   /// Compaction: merge all store files into one, dropping versions that no
   /// snapshot can still read. `prune_before_ts` must be at or below the
-  /// oldest snapshot in use (e.g. the global TP); per (row, column), every
-  /// version newer than it is kept plus the newest one at or below it —
-  /// unless that survivor is a tombstone, in which case the whole column
-  /// vanishes. Pass kNoTimestamp to merge without pruning. No-op with
-  /// fewer than two store files; returns Unavailable if a concurrent
-  /// memstore flush lands mid-compaction (just retry later).
+  /// oldest snapshot in use (the published snapshot floor, see
+  /// TxnManager::snapshot_floor); per (row, column), every version newer
+  /// than it is kept plus the newest one at or below it — unless that
+  /// survivor is a tombstone, in which case the whole column vanishes
+  /// (kv.compaction.versions_pruned counts the dropped versions). Pass
+  /// kNoTimestamp to merge without pruning. No-op with fewer than two store
+  /// files; returns Unavailable if a concurrent memstore flush lands
+  /// mid-compaction (just retry later). Inputs are read through the block
+  /// cache; the output's blocks are cached once it replaces them — never
+  /// when the output is discarded.
   TFR_BLOCKING Status compact(Timestamp prune_before_ts = kNoTimestamp);
 
   /// All cells of this region, every version, memstore and store files

@@ -386,9 +386,12 @@ Status RegionServer::apply_decoded(const ApplyRequest& req) {
       }
       if (config_.compaction_file_threshold != 0 &&
           region->store_file_count() > config_.compaction_file_threshold) {
-        // Merge without pruning: snapshots of any age stay readable. A
+        // Prune below the published snapshot floor: versions no registered
+        // or future snapshot can read. Replays and late deferred flushes
+        // carry ts > TP >= floor, so nothing pruned can come back newer. A
         // compaction that races another flush simply defers to the next one.
-        Status compacted = region->compact(kNoTimestamp);
+        const auto floor = coord_->get(kSnapshotFloorPath);
+        Status compacted = region->compact(floor.value_or(kNoTimestamp));
         if (!compacted.is_ok() && !compacted.is_unavailable()) return compacted;
       }
       // The finalized store file supersedes every WAL entry at or below the

@@ -47,6 +47,12 @@ class FaultInjector;
 /// every successful heartbeat): /tfr/load/<server_id> -> total ops.
 inline constexpr const char* kServerLoadPrefix = "/tfr/load/";
 
+/// Coord KV path of the snapshot floor the recovery manager publishes next
+/// to TF/TP (TxnManager::snapshot_floor: no transaction reads below it).
+/// Automatic compactions prune versions below it; with no value published
+/// (no recovery manager, or one ignoring thresholds) nothing is pruned.
+inline constexpr const char* kSnapshotFloorPath = "/tfr/snapshot_floor";
+
 struct RegionServerConfig {
   int handler_slots = 16;
 

@@ -96,7 +96,8 @@ StoreFileReader::~StoreFileReader() {
   TFR_IGNORE_STATUS(dfs_->remove(path_),
                     "deferred compaction-input delete; under a fence or after a janitor sweep "
                     "the path is the successor's (or gone), a leaked file is unreferenced");
-  if (cleanup_cache_ != nullptr) cleanup_cache_->invalidate_prefix(path_ + "#");
+  if (cleanup_cache_ == nullptr) return;
+  for (std::size_t idx = 0; idx < index_.size(); ++idx) cleanup_cache_->erase(block_key(idx));
 }
 
 Result<std::shared_ptr<StoreFileReader>> StoreFileReader::open(Dfs& dfs, std::string path) {
@@ -169,16 +170,13 @@ bool StoreFileReader::may_contain_row(const std::string& row) const {
   return true;
 }
 
-Result<BlockPtr> StoreFileReader::load_block(std::size_t idx) const {
-  const auto& e = index_[idx];
-  auto raw = dfs_->read(path_, e.offset, e.length);
-  if (!raw.is_ok()) return raw.status();
-  Decoder dec(raw.value());
+Result<BlockPtr> StoreFileReader::decode_block(std::string_view raw) const {
+  Decoder dec(raw);
   std::uint32_t n = 0;
   TFR_RETURN_IF_ERROR(dec.get_u32(&n));
   std::uint32_t stored_crc = 0;
   TFR_RETURN_IF_ERROR(dec.get_u32(&stored_crc));
-  if (crc32c(std::string_view(raw.value()).substr(dec.position())) != stored_crc) {
+  if (crc32c(raw.substr(dec.position())) != stored_crc) {
     return Status::corruption("store-file block checksum mismatch in " + path_);
   }
   auto block = std::make_shared<CacheBlock>();
@@ -190,9 +188,27 @@ Result<BlockPtr> StoreFileReader::load_block(std::size_t idx) const {
   return BlockPtr(block);
 }
 
+Result<BlockPtr> StoreFileReader::load_block(std::size_t idx) const {
+  const auto& e = index_[idx];
+  auto raw = dfs_->read(path_, e.offset, e.length);
+  if (!raw.is_ok()) return raw.status();
+  return decode_block(raw.value());
+}
+
 Result<BlockPtr> StoreFileReader::cached_block(BlockCache& cache, std::size_t idx) const {
-  return cache.get_or_load(path_ + "#" + std::to_string(idx),
-                           [this, idx] { return load_block(idx); });
+  return cache.get_or_load(block_key(idx), [this, idx] { return load_block(idx); });
+}
+
+void StoreFileReader::cache_written_blocks(BlockCache& cache,
+                                           const StoreFileWriter& writer) const {
+  const std::string_view data = writer.data();
+  for (std::size_t idx = 0; idx < index_.size(); ++idx) {
+    const auto& e = index_[idx];
+    if (e.offset + e.length > data.size()) return;  // not this file's writer: stay cold
+    auto block = decode_block(data.substr(e.offset, e.length));
+    if (!block.is_ok()) return;
+    cache.insert(block_key(idx), block.value());
+  }
 }
 
 std::size_t StoreFileReader::block_for(const std::string& row) const {

@@ -52,6 +52,10 @@ class StoreFileWriter {
 
   std::size_t cell_count() const { return cell_count_; }
 
+  /// The bytes finish() wrote: cache-on-write decodes the blocks from here
+  /// instead of reading them back (StoreFileReader::cache_written_blocks).
+  const std::string& data() const { return file_data_; }
+
  private:
   void rotate_block();
 
@@ -86,7 +90,7 @@ class StoreFileReader {
   /// eagerly: a concurrent get/scan (or a second compaction) that snapshotted
   /// files_ still holds shared_ptrs to these readers, and deleting the file
   /// under them turns a benign race into a NotFound surfaced to the client.
-  /// The last shared_ptr release removes the file and drops its cached
+  /// The last shared_ptr release removes the file and erases its cached
   /// blocks; `cache` (may be null) and the Dfs must outlive every reader,
   /// which holds because both are owned above the region layer and all
   /// requests are synchronous.
@@ -112,6 +116,15 @@ class StoreFileReader {
 
   /// Every cell in the file, all versions, in (row, column, ts desc) order.
   Result<std::vector<Cell>> all_cells(BlockCache& cache) const;
+
+  /// Cache-on-write: decode this file's blocks from the bytes its writer
+  /// still holds — exactly what a DFS read would decode, without the read —
+  /// and insert them under the keys reads look them up by. One decoded
+  /// block is alive at a time outside the cache, so a file larger than the
+  /// cache costs no more than the cache holds. Only for a file that is
+  /// attached to its region: a discarded or fenced output must never be
+  /// cached.
+  void cache_written_blocks(BlockCache& cache, const StoreFileWriter& writer) const;
 
   const std::string& path() const { return path_; }
   Timestamp max_ts() const { return max_ts_; }
@@ -152,6 +165,11 @@ class StoreFileReader {
 
   StoreFileReader(Dfs& dfs, std::string path) : dfs_(&dfs), path_(std::move(path)) {}
 
+  /// Cache key of block `idx`: "<path>#<idx>".
+  std::string block_key(std::size_t idx) const { return path_ + "#" + std::to_string(idx); }
+  /// Decode one framed block (u32 cell_count, u32 crc, cells), checking
+  /// its checksum.
+  Result<BlockPtr> decode_block(std::string_view raw) const;
   Result<BlockPtr> load_block(std::size_t idx) const;
   Result<BlockPtr> cached_block(BlockCache& cache, std::size_t idx) const;
 

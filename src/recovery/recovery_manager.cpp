@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/common/metrics.h"
 #include "src/common/queue.h"
 
 namespace tfr {
@@ -160,7 +161,14 @@ void RecoveryManager::publish_locked() {
   published_tp_.store(tp, std::memory_order_release);
   coord_->put(kTfPath, tf);
   coord_->put(kTpPath, tp);
-  if (!config_.ignore_thresholds) tm_->checkpoint(tp);
+  if (config_.ignore_thresholds) return;
+  tm_->checkpoint(tp);
+  // Only after the checkpoint: from here on the TM raises any snapshot
+  // below TP, so no transaction can register below the published floor.
+  const Timestamp floor = tm_->snapshot_floor();
+  coord_->put(kSnapshotFloorPath, floor);
+  static Gauge& floor_gauge = global_gauge("rm.snapshot_floor");
+  floor_gauge.set(floor);
 }
 
 void RecoveryManager::poll_tick() {

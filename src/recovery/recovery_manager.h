@@ -59,8 +59,9 @@ struct RecoveryManagerConfig {
 
   /// Ablation baseline: ignore the TF(c)/TP(s) thresholds during recovery
   /// and replay the whole recovery log (correct — replay is idempotent —
-  /// but "extremely inefficient", §3). The TM log is truncated at TP on
-  /// every refresh unless this is set.
+  /// but "extremely inefficient", §3). The TM log is truncated at TP, and
+  /// the snapshot floor compactions prune below is published, on every
+  /// refresh unless this is set.
   bool ignore_thresholds = false;
 };
 

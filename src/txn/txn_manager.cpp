@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "src/common/logging.h"
+#include "src/common/metrics.h"
 
 namespace tfr {
 
@@ -21,11 +22,25 @@ void remove_active(std::set<Timestamp>& set, std::unordered_map<Timestamp, int>&
 }  // namespace
 
 TxnHandle TxnManager::begin(Timestamp start_ts, const std::string& client_id) {
+  MutexLock lock(mutex_);
+  if (start_ts < prune_floor_) {
+    static Counter& raised = global_counter("txn.snapshots_raised");
+    raised.add();
+    start_ts = prune_floor_;
+  }
+  return register_locked(start_ts, client_id);
+}
+
+TxnHandle TxnManager::begin_latest(const std::string& client_id) {
+  MutexLock lock(mutex_);
+  return register_locked(last_ts_, client_id);
+}
+
+TxnHandle TxnManager::register_locked(Timestamp start_ts, const std::string& client_id) {
   TxnHandle h;
   h.txn_id = next_txn_id_.fetch_add(1, std::memory_order_relaxed);
   h.start_ts = start_ts;
   h.client_id = client_id;
-  MutexLock lock(mutex_);
   if (++active_count_[start_ts] == 1) active_start_ts_.insert(start_ts);
   if (!client_id.empty()) open_by_client_[client_id][h.txn_id] = start_ts;
   return h;
@@ -103,14 +118,24 @@ void TxnManager::checkpoint(Timestamp tp) {
   prune_floor_ = std::max(prune_floor_, tp);
 }
 
+Timestamp TxnManager::snapshot_floor() const {
+  MutexLock lock(mutex_);
+  return snapshot_floor_locked();
+}
+
+Timestamp TxnManager::snapshot_floor_locked() const {
+  // Future snapshots are >= prune_floor_ (begin() raises any older pick to
+  // it); current ones are bounded by the oldest active transaction.
+  Timestamp floor = prune_floor_;
+  if (!active_start_ts_.empty()) floor = std::min(floor, *active_start_ts_.begin());
+  return floor;
+}
+
 void TxnManager::prune_conflicts_locked() {
   commits_since_prune_ = 0;
   // A conflict entry is needed while some current or future snapshot could
-  // be older than it. Future snapshots are >= prune_floor_ (the stable
-  // snapshot never regresses below the published TF >= TP); current ones
-  // are bounded by the oldest active transaction.
-  Timestamp floor = prune_floor_;
-  if (!active_start_ts_.empty()) floor = std::min(floor, *active_start_ts_.begin());
+  // be older than it.
+  const Timestamp floor = snapshot_floor_locked();
   if (floor <= kNoTimestamp) return;
   for (auto it = last_writer_.begin(); it != last_writer_.end();) {
     if (it->second <= floor) {

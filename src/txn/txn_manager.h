@@ -50,7 +50,19 @@ class TxnManager {
   /// Start a transaction reading at snapshot `start_ts` (the client picks
   /// its snapshot; see TxnClient::begin). `client_id` ties the open
   /// transaction to its client so abandon_client() can reap it.
+  ///
+  /// A snapshot below the checkpointed TP is never registered: the conflict
+  /// table and compaction may already have dropped what it would need. It
+  /// is raised to the checkpoint instead (everything at or below TP is
+  /// persisted, so the raised snapshot is still never torn); the returned
+  /// handle's start_ts is the snapshot actually registered, and
+  /// txn.snapshots_raised counts the raises.
   TxnHandle begin(Timestamp start_ts, const std::string& client_id = "");
+
+  /// Start a transaction reading at the newest commit timestamp, picked
+  /// under the same lock that registers it — so no checkpoint can pass the
+  /// snapshot between the pick and the registration.
+  TxnHandle begin_latest(const std::string& client_id = "");
 
   using TsListener = std::function<void(Timestamp)>;
 
@@ -79,11 +91,21 @@ class TxnManager {
   /// can forget rows older than any snapshot still in use.
   void checkpoint(Timestamp tp);
 
+  /// The snapshot floor: min(checkpointed TP, oldest registered snapshot)
+  /// (kNoTimestamp before the first checkpoint). No registered or future
+  /// snapshot is below it — begin() raises late snapshots to the
+  /// checkpoint — so it never decreases, and a version older than the
+  /// newest one at or below it can be read by no transaction.
+  Timestamp snapshot_floor() const;
+
   TxnLog& log() { return log_; }
   const TxnLog& log() const { return log_; }
   TxnManagerStats stats() const;
 
  private:
+  TxnHandle register_locked(Timestamp start_ts, const std::string& client_id)
+      TFR_REQUIRES(mutex_);
+  Timestamp snapshot_floor_locked() const TFR_REQUIRES(mutex_);
   void prune_conflicts_locked() TFR_REQUIRES(mutex_);
 
   TxnLog log_;

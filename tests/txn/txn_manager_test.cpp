@@ -4,6 +4,8 @@
 
 #include <thread>
 
+#include "src/common/metrics.h"
+
 namespace tfr {
 namespace {
 
@@ -212,6 +214,54 @@ TEST(TxnManagerTest, ConcurrentCommitsAllSucceedOnDistinctRows) {
   EXPECT_EQ(tm.current_ts(), kThreads * kPerThread);
   EXPECT_EQ(tm.log().fetch_after(0).size(),
             static_cast<std::size_t>(kThreads * kPerThread));
+}
+
+// The pick-then-register race: a client picks its snapshot, TP is
+// checkpointed past it, and the conflict table prunes the entry the late
+// snapshot would need — registering it as picked would then let a
+// conflicting commit through (a lost update). The TM raises it instead.
+TEST(TxnManagerTest, SnapshotPickedBeforeACheckpointIsRaisedToIt) {
+  TxnManager tm(TxnLogConfig{});
+  Counter& raised = global_counter("txn.snapshots_raised");
+  const std::int64_t raised_before = raised.get();
+  const Timestamp picked = tm.current_ts();  // the client's pick...
+  auto writer = tm.begin_latest();
+  auto x = tm.commit(writer, ws_on_rows({"x"}), nullptr);
+  ASSERT_TRUE(x.is_ok());
+  tm.checkpoint(x.value());
+  for (int i = 0; i < 4096; ++i) {  // one conflict-table prune cycle
+    auto txn = tm.begin_latest();
+    ASSERT_TRUE(tm.commit(txn, ws_on_rows({"bulk" + std::to_string(i)}), nullptr).is_ok());
+  }
+  auto late = tm.begin(picked);  // ...registered only now
+  EXPECT_EQ(late.start_ts, x.value()) << "a snapshot below the checkpoint must be raised";
+  EXPECT_EQ(raised.get() - raised_before, 1);
+  EXPECT_EQ(tm.snapshot_floor(), x.value());
+  // At the raised snapshot the write to x is visible, so writing x again is
+  // not a lost update and commits.
+  EXPECT_TRUE(tm.commit(late, ws_on_rows({"x"}), nullptr).is_ok());
+}
+
+TEST(TxnManagerTest, SnapshotFloorIsTheOlderOfCheckpointAndOldestSnapshot) {
+  TxnManager tm(TxnLogConfig{});
+  EXPECT_EQ(tm.snapshot_floor(), kNoTimestamp);
+  auto commit_n = [&](int n) {
+    for (int i = 0; i < n; ++i) {
+      auto txn = tm.begin_latest();
+      ASSERT_TRUE(tm.commit(txn, ws_on_rows({"r" + std::to_string(i)}), nullptr).is_ok());
+    }
+  };
+  commit_n(5);
+  auto old = tm.begin_latest();  // snapshot 5, picked and registered atomically
+  EXPECT_EQ(old.start_ts, 5);
+  commit_n(5);
+  tm.checkpoint(8);
+  EXPECT_EQ(tm.snapshot_floor(), 5) << "an open snapshot pins the floor below TP";
+  tm.abort(old);
+  EXPECT_EQ(tm.snapshot_floor(), 8);
+  auto fresh = tm.begin(3);
+  EXPECT_EQ(fresh.start_ts, 8);
+  EXPECT_EQ(tm.snapshot_floor(), 8) << "the floor never moves back";
 }
 
 }  // namespace
