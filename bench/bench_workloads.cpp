@@ -58,7 +58,7 @@ int main() {
   std::printf("\n-- shape check --\n");
   std::printf("read-only (C) outruns update-heavy (A): %.1f vs %.1f tps %s\n", read_only_tps,
               update_heavy_tps,
-              read_only_tps > update_heavy_tps ? "[OK: commits cost a log write]"
+              read_only_tps > update_heavy_tps ? "[OK: only read-write commits cost a log write]"
                                                : "[UNEXPECTED]");
   return 0;
 }

@@ -173,6 +173,12 @@ Result<std::optional<Cell>> TxnClient::read(const std::string& table, const std:
 Result<Timestamp> TxnClient::commit_writeset(const TxnHandle& handle, WriteSet ws) {
   if (crashed()) return Status::closed("client crashed: " + id_);
   ws.client_id = id_;
+  if (ws.mutations.empty()) {
+    // Read-only: the TM only releases the snapshot. No timestamp reaches
+    // the tracker, so there is nothing to flush or to mark flushed.
+    commits_.fetch_add(1, std::memory_order_relaxed);
+    return tm_->commit(handle, std::move(ws), nullptr);
+  }
 
   // Keep a copy for the post-commit flush; the TM consumes the original.
   WriteSet to_flush = ws;
@@ -185,12 +191,6 @@ Result<Timestamp> TxnClient::commit_writeset(const TxnHandle& handle, WriteSet w
   const Timestamp commit_ts = committed.value();
   to_flush.commit_ts = commit_ts;
   commits_.fetch_add(1, std::memory_order_relaxed);
-
-  if (to_flush.mutations.empty()) {
-    // Read-only transaction: nothing to flush.
-    tracker_.on_flushed(commit_ts);
-    return commit_ts;
-  }
 
   if (config_.sync_commit) {
     // Synchronous persistence: the write-set reaches (and is persisted by)

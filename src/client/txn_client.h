@@ -7,7 +7,8 @@
 //     the transaction's snapshot timestamp, writes are buffered client-side;
 //   * commit() sends the write-set to the transaction manager; when the TM's
 //     group-commit log append returns, the transaction IS committed and
-//     commit() returns to the application;
+//     commit() returns to the application. A read-only transaction has no
+//     write-set to log: the TM just releases its snapshot;
 //   * the write-set is flushed to the participant region servers only after
 //     commit, by a background flusher pool, retrying without limit across
 //     server failures (§3.2);
@@ -83,7 +84,9 @@ class Transaction {
                                  std::size_t limit);
 
   /// Commit. Returns the commit timestamp, or Aborted on a write-write
-  /// conflict. After a successful return the transaction is durable.
+  /// conflict. After a successful return the transaction is durable. A
+  /// transaction that buffered no writes draws no commit timestamp: it
+  /// returns its snapshot timestamp.
   Result<Timestamp> commit();
 
   /// Discard the buffered write-set (§2.2: nothing is logged or flushed).

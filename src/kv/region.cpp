@@ -223,7 +223,7 @@ Status Region::flush_memstore() {
     // tfr-lint: blocking-ok(region lock held across the DFS write by design — writes must
     // not land between snapshot and swap; kRegion is may_block=true in the rank table)
     TFR_RETURN_IF_ERROR(finalize_store_file(writer, path));
-    auto reader = StoreFileReader::open(*dfs_, path);
+    auto reader = StoreFileReader::open_written(*dfs_, path, writer);
     if (!reader.is_ok()) return reader.status();
     attached = reader.value();
     files_.insert(files_.begin(), attached);
@@ -332,7 +332,7 @@ Status Region::compact(Timestamp prune_before_ts) {
     path = data_dir() + "sf-" + std::to_string(next_file_id_++);
   }
   TFR_RETURN_IF_ERROR(finalize_store_file(writer, path));
-  auto reader = StoreFileReader::open(*dfs_, path);
+  auto reader = StoreFileReader::open_written(*dfs_, path, writer);
   if (!reader.is_ok()) return reader.status();
 
   std::vector<std::string> obsolete_markers;

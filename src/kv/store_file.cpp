@@ -103,11 +103,32 @@ StoreFileReader::~StoreFileReader() {
 Result<std::shared_ptr<StoreFileReader>> StoreFileReader::open(Dfs& dfs, std::string path) {
   auto size = dfs.durable_size(path);
   if (!size.is_ok()) return size.status();
-  if (size.value() < kFooterSizeV2) return Status::corruption("store file too small: " + path);
+  const SectionReader read = [&dfs, file = path](std::uint64_t offset, std::uint64_t length) {
+    return dfs.read(file, offset, length);
+  };
+  return decode(dfs, std::move(path), size.value(), read);
+}
 
-  auto tail = dfs.read(path, size.value() - kFooterSizeV2, kFooterSizeV2);
-  if (!tail.is_ok()) return tail.status();
+Result<std::shared_ptr<StoreFileReader>> StoreFileReader::open_written(
+    Dfs& dfs, std::string path, const StoreFileWriter& writer) {
+  const std::string& data = writer.data();
+  return decode(dfs, std::move(path), data.size(),
+                [&data](std::uint64_t offset, std::uint64_t length) -> Result<std::string> {
+                  if (offset > data.size() || length > data.size() - offset) {
+                    return Status::corruption("store file section out of range");
+                  }
+                  return data.substr(offset, length);
+                });
+}
+
+Result<std::shared_ptr<StoreFileReader>> StoreFileReader::decode(Dfs& dfs, std::string path,
+                                                                 std::uint64_t size,
+                                                                 const SectionReader& read) {
+  if (size < kFooterSizeV2) return Status::corruption("store file too small: " + path);
   auto reader = std::shared_ptr<StoreFileReader>(new StoreFileReader(dfs, std::move(path)));
+
+  auto tail = read(size - kFooterSizeV2, kFooterSizeV2);
+  if (!tail.is_ok()) return tail.status();
   std::uint64_t index_offset = 0, index_length = 0;
   std::uint64_t meta_offset = 0, meta_length = 0;
   std::uint32_t version = 0, magic = 0;
@@ -125,7 +146,7 @@ Result<std::shared_ptr<StoreFileReader>> StoreFileReader::open(Dfs& dfs, std::st
                               ": " + reader->path_);
   }
 
-  auto index_data = dfs.read(reader->path_, index_offset, index_length);
+  auto index_data = read(index_offset, index_length);
   if (!index_data.is_ok()) return index_data.status();
   Decoder idec(index_data.value());
   std::uint32_t n = 0;
@@ -137,7 +158,7 @@ Result<std::shared_ptr<StoreFileReader>> StoreFileReader::open(Dfs& dfs, std::st
     TFR_RETURN_IF_ERROR(idec.get_u64(&e.length));
   }
 
-  auto meta_data = dfs.read(reader->path_, meta_offset, meta_length);
+  auto meta_data = read(meta_offset, meta_length);
   if (!meta_data.is_ok()) return meta_data.status();
   Decoder mdec(meta_data.value());
   std::uint32_t probes = 0;

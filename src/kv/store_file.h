@@ -22,6 +22,7 @@
 // never touched); a scan skips files whose key range misses [start, end).
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -52,8 +53,9 @@ class StoreFileWriter {
 
   std::size_t cell_count() const { return cell_count_; }
 
-  /// The bytes finish() wrote: cache-on-write decodes the blocks from here
-  /// instead of reading them back (StoreFileReader::cache_written_blocks).
+  /// The bytes finish() wrote: the flush or compaction that wrote them opens
+  /// and caches the file from here instead of reading it back
+  /// (StoreFileReader::open_written, cache_written_blocks).
   const std::string& data() const { return file_data_; }
 
  private:
@@ -79,11 +81,18 @@ class StoreFileWriter {
   std::vector<IndexEntry> index_;
 };
 
-/// Read side. Opening reads the footer+meta and index (two DFS reads);
-/// block fetches go through the shared BlockCache.
+/// Read side. Opening decodes the footer, index and meta sections; block
+/// fetches go through the shared BlockCache.
 class StoreFileReader {
  public:
+  /// Open a file from the DFS: three reads (footer, index, meta).
   static Result<std::shared_ptr<StoreFileReader>> open(Dfs& dfs, std::string path);
+
+  /// Open the file `writer` just finished at `path` from the writer's own
+  /// bytes: the same decode as open(), with no DFS read. Flush and
+  /// compaction attach their output this way.
+  static Result<std::shared_ptr<StoreFileReader>> open_written(Dfs& dfs, std::string path,
+                                                                const StoreFileWriter& writer);
 
   /// Defer the DFS file's deletion to this reader's destruction. Compaction
   /// calls this on the inputs it replaced instead of removing their paths
@@ -164,6 +173,14 @@ class StoreFileReader {
   friend class StoreFileIterator;
 
   StoreFileReader(Dfs& dfs, std::string path) : dfs_(&dfs), path_(std::move(path)) {}
+
+  /// Reads `length` bytes at `offset` of the file being opened.
+  using SectionReader =
+      std::function<Result<std::string>(std::uint64_t offset, std::uint64_t length)>;
+  /// The one footer/index/meta decoder behind open() and open_written().
+  static Result<std::shared_ptr<StoreFileReader>> decode(Dfs& dfs, std::string path,
+                                                         std::uint64_t size,
+                                                         const SectionReader& read);
 
   /// Cache key of block `idx`: "<path>#<idx>".
   std::string block_key(std::size_t idx) const { return path_ + "#" + std::to_string(idx); }

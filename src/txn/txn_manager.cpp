@@ -59,6 +59,16 @@ void TxnManager::abandon_client(const std::string& client_id) {
 
 Result<Timestamp> TxnManager::commit(const TxnHandle& txn, WriteSet ws,
                                      const TsListener& ts_listener) {
+  if (ws.mutations.empty()) {
+    // Read-only: under SI it cannot conflict and has nothing to make
+    // durable, so it only releases its snapshot — no timestamp, no
+    // listener, no log record (DESIGN §8.2).
+    static Counter& readonly_commits = global_counter("txn.readonly_commits");
+    MutexLock lock(mutex_);
+    release_locked(txn);
+    readonly_commits.add();
+    return txn.start_ts;
+  }
   Timestamp commit_ts = kNoTimestamp;
   {
     MutexLock lock(mutex_);
@@ -69,22 +79,14 @@ Result<Timestamp> TxnManager::commit(const TxnHandle& txn, WriteSet ws,
     for (const auto& m : ws.mutations) {
       auto it = last_writer_.find(ws.table + "\x1f" + m.row);
       if (it != last_writer_.end() && it->second > txn.start_ts) {
-        remove_active(active_start_ts_, active_count_, txn.start_ts);
-        if (!txn.client_id.empty()) {
-          auto cit = open_by_client_.find(txn.client_id);
-          if (cit != open_by_client_.end()) cit->second.erase(txn.txn_id);
-        }
+        release_locked(txn);
         ++stats_.aborts_conflict;
         return Status::aborted("write-write conflict on row " + m.row);
       }
     }
     commit_ts = ++last_ts_;
     for (const auto& m : ws.mutations) last_writer_[ws.table + "\x1f" + m.row] = commit_ts;
-    remove_active(active_start_ts_, active_count_, txn.start_ts);
-    if (!txn.client_id.empty()) {
-      auto cit = open_by_client_.find(txn.client_id);
-      if (cit != open_by_client_.end()) cit->second.erase(txn.txn_id);
-    }
+    release_locked(txn);
     ++stats_.commits;
     if (++commits_since_prune_ >= 4096) prune_conflicts_locked();
     // Inside the critical section: Algorithm 1's FQ sees commit timestamps
@@ -99,12 +101,19 @@ Result<Timestamp> TxnManager::commit(const TxnHandle& txn, WriteSet ws,
 
 void TxnManager::abort(const TxnHandle& txn) {
   MutexLock lock(mutex_);
-  remove_active(active_start_ts_, active_count_, txn.start_ts);
-  if (!txn.client_id.empty()) {
-    auto cit = open_by_client_.find(txn.client_id);
-    if (cit != open_by_client_.end()) cit->second.erase(txn.txn_id);
-  }
+  release_locked(txn);
   ++stats_.aborts_explicit;
+}
+
+void TxnManager::release_locked(const TxnHandle& txn) {
+  if (!txn.client_id.empty()) {
+    // abandon_client() already released a dead client's transactions; a
+    // late commit or abort from it must not release a second snapshot that
+    // happens to share the start ts.
+    auto cit = open_by_client_.find(txn.client_id);
+    if (cit == open_by_client_.end() || cit->second.erase(txn.txn_id) == 0) return;
+  }
+  remove_active(active_start_ts_, active_count_, txn.start_ts);
 }
 
 Timestamp TxnManager::current_ts() const {

@@ -7,7 +7,9 @@
 //    write-write conflict check (the paper's TM is SI-based, §4.1);
 //  * durability: the commit point is the group-commit append of the
 //    write-set to the recovery log — nothing needs to be persisted in the
-//    key-value store before commit returns.
+//    key-value store before commit returns. Only read-write transactions
+//    reach the log: a read-only one cannot conflict under SI and has
+//    nothing to make durable, so its commit just releases its snapshot.
 //
 // The commit-timestamp listener: the client's flush tracker (Algorithm 1)
 // must learn commit timestamps *in commit order* with no gaps, otherwise its
@@ -15,6 +17,8 @@
 // listener is therefore invoked synchronously inside the oracle's critical
 // section, and `current_ts()` takes the same lock — so after current_ts()
 // returns C, the listener of every transaction with ts <= C has completed.
+// Every timestamp the oracle issues goes to a read-write commit, and the
+// listener sees each of them; read-only commits draw none.
 #pragma once
 
 #include <atomic>
@@ -35,7 +39,7 @@ struct TxnHandle {
 };
 
 struct TxnManagerStats {
-  std::int64_t commits = 0;
+  std::int64_t commits = 0;  // read-write commits (each drew a timestamp)
   std::int64_t aborts_conflict = 0;
   std::int64_t aborts_explicit = 0;
 };
@@ -66,10 +70,16 @@ class TxnManager {
 
   using TsListener = std::function<void(Timestamp)>;
 
-  /// Attempt to commit. On success the write-set is durable in the recovery
-  /// log and the commit timestamp is returned; `ts_listener` (may be null)
-  /// has been invoked with it inside the ordering critical section.
-  /// Returns Aborted on a write-write conflict (first committer wins).
+  /// Attempt to commit. A non-empty write-set draws a commit timestamp,
+  /// `ts_listener` (may be null) is invoked with it inside the ordering
+  /// critical section, and on success the write-set is durable in the
+  /// recovery log and the timestamp is returned. Returns Aborted on a
+  /// write-write conflict (first committer wins).
+  ///
+  /// An empty write-set (a read-only transaction) only releases the
+  /// snapshot and returns `txn.start_ts`: no timestamp is drawn, the
+  /// listener is not called, nothing is logged, and stats().commits is not
+  /// bumped — txn.readonly_commits counts it instead.
   Result<Timestamp> commit(const TxnHandle& txn, WriteSet ws, const TsListener& ts_listener);
 
   /// Abort: the buffered write-set is simply discarded (§2.2); nothing is
@@ -105,6 +115,9 @@ class TxnManager {
  private:
   TxnHandle register_locked(Timestamp start_ts, const std::string& client_id)
       TFR_REQUIRES(mutex_);
+  /// Drop the transaction's snapshot from the active set and its client's
+  /// open set (commit, abort, and the read-only commit alike).
+  void release_locked(const TxnHandle& txn) TFR_REQUIRES(mutex_);
   Timestamp snapshot_floor_locked() const TFR_REQUIRES(mutex_);
   void prune_conflicts_locked() TFR_REQUIRES(mutex_);
 

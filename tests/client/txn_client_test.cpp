@@ -123,6 +123,42 @@ TEST_F(TxnClientTest, ReadOnlyTransactionCommits) {
   EXPECT_TRUE(bed_.client().wait_flushed());
 }
 
+// Read-only commits draw no timestamp, so the flush tracker never sees them:
+// nothing is in flight, and the idle fast path carries TF(c) to the oracle.
+void expect_read_only_client_stays_idle(SnapshotMode mode) {
+  TestbedConfig cfg = fast_test_config(2, 1);
+  cfg.client.snapshot = mode;
+  Testbed bed(cfg);
+  ASSERT_TRUE(bed.start().is_ok());
+  ASSERT_TRUE(bed.create_table("t", 1000, 4).is_ok());
+  TxnClient& client = bed.client();
+  Transaction w = client.begin("t");
+  w.put("seed", "c", "v");
+  ASSERT_TRUE(w.commit().is_ok());
+  ASSERT_TRUE(client.wait_flushed());
+  const Timestamp oracle = bed.tm().current_ts();
+  for (int i = 0; i < 20; ++i) {
+    Transaction r = client.begin("t");
+    ASSERT_TRUE(r.get("seed", "c").is_ok());
+    auto ts = r.commit();
+    ASSERT_TRUE(ts.is_ok());
+    EXPECT_EQ(ts.value(), r.snapshot_ts());
+    EXPECT_EQ(client.flush_backlog(), 0u) << "a read-only commit put nothing in flight";
+  }
+  EXPECT_EQ(bed.tm().current_ts(), oracle) << "read-only commits draw no timestamp";
+  client.heartbeat_now();  // advance(current_ts()) through the idle fast path
+  EXPECT_EQ(client.tf(), bed.tm().current_ts());
+  EXPECT_EQ(client.stats().commits, 21);
+}
+
+TEST(TxnClientReadOnlyTest, LatestModeLeavesNothingInFlight) {
+  expect_read_only_client_stays_idle(SnapshotMode::kLatest);
+}
+
+TEST(TxnClientReadOnlyTest, StableModeLeavesNothingInFlight) {
+  expect_read_only_client_stays_idle(SnapshotMode::kStable);
+}
+
 TEST_F(TxnClientTest, SnapshotIsolationReaderSeesFrozenSnapshot) {
   Transaction w1 = bed_.client().begin("t");
   w1.put("row", "c", "v1");

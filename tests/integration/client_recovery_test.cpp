@@ -3,6 +3,7 @@
 // client, and the TF bookkeeping around it.
 #include <gtest/gtest.h>
 
+#include "src/common/fault.h"
 #include "src/testbed/testbed.h"
 
 namespace tfr {
@@ -147,6 +148,47 @@ TEST_F(ClientRecoveryTest, TfFloorHeldDuringRecoveryThenReleased) {
   bed_.wait_for_recovery();
   // After the replay completes the floor is released and TF can reach ts.
   EXPECT_TRUE(bed_.wait_stable(ts.value()));
+}
+
+// Read-only commits leave nothing in the TM log, so the replay that
+// fetchlogs(c, TFr(c)) drives after a crash carries write-sets only.
+TEST_F(ClientRecoveryTest, ReplayAfterCrashFetchesNoEmptyWriteSet) {
+  TxnClient& victim = bed_.client(0);
+  // Every apply fails until the crash: nothing the victim commits is
+  // flushed, so its TF(c) stays below its first write.
+  FaultRule fail_applies;
+  fail_applies.op = FaultOp::kRpcApply;
+  fail_applies.error_probability = 1.0;
+  bed_.fault().add_rule(fail_applies);
+  constexpr int kWrites = 10;
+  std::vector<Timestamp> written;
+  for (int i = 0; i < kWrites; ++i) {
+    Transaction w = victim.begin("t");
+    w.put(Testbed::row_key(i), "c", "w" + std::to_string(i));
+    auto ts = w.commit();
+    ASSERT_TRUE(ts.is_ok());
+    written.push_back(ts.value());
+    Transaction r = victim.begin("t");
+    ASSERT_TRUE(r.get(Testbed::row_key(i), "c").is_ok());
+    ASSERT_TRUE(r.commit().is_ok());
+  }
+  for (const WriteSet& ws : bed_.tm().log().fetch_client_after(victim.id(), kNoTimestamp)) {
+    EXPECT_FALSE(ws.mutations.empty()) << "empty write-set logged at ts " << ws.commit_ts;
+  }
+  bed_.crash_client(0);
+  bed_.fault().clear_rules();
+  ASSERT_TRUE(bed_.wait_client_recoveries(1));
+  bed_.wait_for_recovery();
+
+  EXPECT_EQ(bed_.rm().stats().writesets_replayed_client, kWrites)
+      << "the replay fetched exactly the unflushed write-sets";
+  EXPECT_EQ(bed_.rm().recovery_client_stats().mutations_replayed, kWrites);
+  ASSERT_TRUE(bed_.wait_stable(written.back()));
+  Transaction check = bed_.client(1).begin("t");
+  for (int i = 0; i < kWrites; ++i) {
+    EXPECT_EQ(check.get(Testbed::row_key(i), "c").value().value(), "w" + std::to_string(i));
+  }
+  check.abort();
 }
 
 }  // namespace

@@ -59,7 +59,9 @@ class CacheOnWriteTest : public ::testing::Test {
 
 TEST_F(CacheOnWriteTest, FlushedFileIsReadWithoutDfsBlockReads) {
   auto region = make_region(cache_);
+  const std::int64_t before_flush = block_reads();
   write_file(*region, 5);
+  EXPECT_EQ(block_reads(), before_flush) << "a flush opens its output from the writer's bytes";
   EXPECT_GT(cache_.stats().write_inserts, 1);
   EXPECT_EQ(cache_.stats().bytes, live_bytes(*region));
 
@@ -78,17 +80,12 @@ TEST_F(CacheOnWriteTest, CompactionReadsCachedInputsAndCachesItsOutput) {
   for (Timestamp ts = 1; ts <= 4; ++ts) write_file(*region, ts);
   ASSERT_EQ(region->store_file_count(), 4u);
 
-  // Opening a store file reads its footer, index and meta from the DFS.
-  // Opening its output is all the compaction may read: no input block.
-  const std::int64_t open_reads = [&] {
-    const std::int64_t start = block_reads();
-    EXPECT_TRUE(StoreFileReader::open(dfs_, region->store_file_paths().front()).is_ok());
-    return block_reads() - start;
-  }();
+  // The inputs were written hot and the output is opened from the writer's
+  // bytes, so the compaction reads nothing from the DFS.
   std::int64_t before = block_reads();
   ASSERT_TRUE(region->compact(kNoTimestamp).is_ok());
   ASSERT_EQ(region->store_file_count(), 1u);
-  EXPECT_EQ(block_reads() - before, open_reads) << "compaction inputs were written hot";
+  EXPECT_EQ(block_reads(), before) << "a hot compaction must make no DFS read";
   before = block_reads();
 
   EXPECT_EQ(region->get("row03", "c", 100).value()->value, "v4");

@@ -233,6 +233,38 @@ TEST_F(StoreFileTest, V2MetadataRoundTrip) {
   EXPECT_TRUE(reader->range_overlaps("peach", ""));    // last row inclusive
 }
 
+TEST_F(StoreFileTest, OpenWrittenDecodesWhatOpenDecodesWithoutDfsReads) {
+  StoreFileWriter writer(64);
+  for (int i = 0; i < 30; ++i) {
+    char row[16];
+    std::snprintf(row, sizeof(row), "row%02d", i);
+    writer.add(Cell{row, "c", "v" + std::to_string(i), 10 + i, false});
+  }
+  ASSERT_TRUE(writer.finish(dfs_, "/sf").is_ok());
+  auto from_dfs = StoreFileReader::open(dfs_, "/sf").value();
+  const auto reads_before = dfs_.stats().block_reads;
+  auto written = StoreFileReader::open_written(dfs_, "/sf", writer);
+  ASSERT_TRUE(written.is_ok());
+  EXPECT_EQ(dfs_.stats().block_reads, reads_before) << "no footer/index/meta read";
+  const auto& w = *written.value();
+  EXPECT_EQ(w.path(), "/sf");
+  EXPECT_EQ(w.max_ts(), from_dfs->max_ts());
+  EXPECT_EQ(w.block_count(), from_dfs->block_count());
+  EXPECT_GT(w.block_count(), 1u);
+  EXPECT_EQ(w.data_bytes(), from_dfs->data_bytes());
+  EXPECT_EQ(w.midpoint_row(), from_dfs->midpoint_row());
+  EXPECT_EQ(w.first_row(), "row00");
+  EXPECT_EQ(w.last_row(), "row29");
+  EXPECT_EQ(w.get(cache_, "row17", "c", 100).value()->value, "v17");
+  EXPECT_EQ(scan(w, "row05", "row08", 100).size(), 3u);
+
+  // A writer that never finished holds no footer: rejected, not guessed at.
+  StoreFileWriter unfinished;
+  unfinished.add(Cell{"a", "c", "v", 1, false});
+  EXPECT_EQ(StoreFileReader::open_written(dfs_, "/sf2", unfinished).status().code(),
+            Code::kCorruption);
+}
+
 TEST_F(StoreFileTest, PrunedGetDoesNoBlockFetch) {
   StoreFileWriter writer;
   writer.add(Cell{"k05", "c", "v", 1, false});

@@ -264,5 +264,77 @@ TEST(TxnManagerTest, SnapshotFloorIsTheOlderOfCheckpointAndOldestSnapshot) {
   EXPECT_EQ(tm.snapshot_floor(), 8) << "the floor never moves back";
 }
 
+// A read-only transaction cannot conflict under SI and has nothing to make
+// durable: its commit releases the snapshot and touches neither the oracle,
+// the listener nor the log.
+TEST(TxnManagerTest, ReadOnlyCommitReleasesTheSnapshotAndDrawsNoTimestamp) {
+  TxnManager tm(TxnLogConfig{});
+  Counter& readonly_commits = global_counter("txn.readonly_commits");
+  for (int i = 0; i < 3; ++i) {
+    auto txn = tm.begin_latest();
+    ASSERT_TRUE(tm.commit(txn, ws_on_rows({"r" + std::to_string(i)}), nullptr).is_ok());
+  }
+  auto reader = tm.begin_latest("c1");
+  ASSERT_EQ(reader.start_ts, 3);
+  auto writer = tm.begin_latest();
+  ASSERT_TRUE(tm.commit(writer, ws_on_rows({"r0"}), nullptr).is_ok());
+  tm.checkpoint(4);
+  ASSERT_EQ(tm.snapshot_floor(), 3) << "the open reader pins the floor";
+
+  const Timestamp ts_before = tm.current_ts();
+  const std::int64_t appends_before = tm.log().stats().appends;
+  const std::int64_t readonly_before = readonly_commits.get();
+  const std::int64_t commits_before = tm.stats().commits;
+  bool listened = false;
+  auto committed = tm.commit(reader, WriteSet{}, [&](Timestamp) { listened = true; });
+  ASSERT_TRUE(committed.is_ok());
+  EXPECT_EQ(committed.value(), reader.start_ts);
+  EXPECT_EQ(tm.current_ts(), ts_before) << "no timestamp drawn";
+  EXPECT_FALSE(listened) << "the flush tracker must never see a read-only commit";
+  EXPECT_EQ(tm.log().stats().appends, appends_before) << "nothing appended to the TM log";
+  EXPECT_EQ(tm.log().fetch_after(ts_before).size(), 0u);
+  EXPECT_EQ(readonly_commits.get() - readonly_before, 1);
+  EXPECT_EQ(tm.stats().commits, commits_before) << "commits counts timestamped commits only";
+  EXPECT_EQ(tm.snapshot_floor(), 4) << "the released snapshot no longer pins the floor";
+  // Released from its client's open set too: reaping the client aborts nothing.
+  const std::int64_t aborts_before = tm.stats().aborts_explicit;
+  tm.abandon_client("c1");
+  EXPECT_EQ(tm.stats().aborts_explicit, aborts_before);
+}
+
+TEST(TxnManagerTest, ReadOnlyCommitOverOverwrittenRowsStillCommits) {
+  TxnManager tm(TxnLogConfig{});
+  auto seed = tm.begin_latest();
+  ASSERT_TRUE(tm.commit(seed, ws_on_rows({"x", "y"}), nullptr).is_ok());
+  auto reader = tm.begin_latest();
+  // Both rows it read are overwritten after its snapshot...
+  auto writer = tm.begin_latest();
+  ASSERT_TRUE(tm.commit(writer, ws_on_rows({"x", "y"}), nullptr).is_ok());
+  // ...which aborts a writer on the same snapshot, but not a reader.
+  auto committed = tm.commit(reader, WriteSet{}, nullptr);
+  ASSERT_TRUE(committed.is_ok());
+  EXPECT_EQ(committed.value(), reader.start_ts);
+  EXPECT_EQ(tm.stats().aborts_conflict, 0);
+}
+
+// A zombie's late commit (or abort) after abandon_client() must not release
+// the snapshot of another transaction that shares its start ts.
+TEST(TxnManagerTest, LateCommitAfterAbandonReleasesNoOtherSnapshot) {
+  TxnManager tm(TxnLogConfig{});
+  auto seed = tm.begin_latest();
+  ASSERT_TRUE(tm.commit(seed, ws_on_rows({"a"}), nullptr).is_ok());
+  auto zombie = tm.begin_latest("zombie");
+  auto live = tm.begin_latest("live");
+  ASSERT_EQ(zombie.start_ts, live.start_ts);
+  tm.abandon_client("zombie");
+  tm.checkpoint(tm.current_ts());
+  ASSERT_TRUE(tm.commit(zombie, WriteSet{}, nullptr).is_ok());
+  tm.abort(zombie);
+  auto more = tm.begin_latest();
+  ASSERT_TRUE(tm.commit(more, ws_on_rows({"b"}), nullptr).is_ok());
+  tm.checkpoint(tm.current_ts());
+  EXPECT_EQ(tm.snapshot_floor(), live.start_ts) << "the live snapshot still pins the floor";
+}
+
 }  // namespace
 }  // namespace tfr
