@@ -799,7 +799,9 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
       backoff.sleep();
     }
   }
-  global_gauge("master.last_split_us").set(now_micros() - split_start);
+  const Micros split_us = now_micros() - split_start;
+  global_gauge("master.last_split_us").set(split_us);
+  global_histogram("master.split_us").record(split_us);
 
   // Reassign and recover the affected regions concurrently (Algorithm 4).
   // Region recoveries are independent: each open_region replays its own WAL
@@ -929,7 +931,9 @@ void Master::handle_server_down(const std::string& server_id, bool crashed) {
     for (std::size_t w = 0; w < workers; ++w) pool.emplace_back(recover_regions);
     for (auto& t : pool) t.join();
   }
-  global_gauge("master.last_replay_us").set(now_micros() - replay_start);
+  const Micros replay_us = now_micros() - replay_start;
+  global_gauge("master.last_replay_us").set(replay_us);
+  global_histogram("master.reassign_replay_us").record(replay_us);
 
   // The old WAL is dead once every affected region is open elsewhere: the
   // split replayed its durable records into the new owners' memstores and

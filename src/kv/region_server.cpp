@@ -106,6 +106,11 @@ void RegionServer::heartbeat_tick() {
     hook = pre_heartbeat_hook_;
   }
   maybe_roll_wal();
+  // Once every edit in the open segment is in a store file, the segment
+  // itself is dead weight a failover split would read and re-apply: drop
+  // it. Only on heartbeat ticks, never after an apply-path flush, so no
+  // handler slot waits on it.
+  wal_->discard_open_segment(wal_truncation_bound());
   const Timestamp payload = hook ? hook() : 0;
   // Injectable stall/loss on the renewal path: a delay here models a paused
   // heartbeat thread (the classic GC pause — both the renewal and the
@@ -222,7 +227,12 @@ void RegionServer::wal_sync_tick() {
 std::uint64_t RegionServer::wal_truncation_bound() const {
   // A segment is reclaimable once every region's un-flushed edits start
   // after it. Regions whose memstore is fully flushed do not constrain.
-  std::uint64_t bound = wal_->appended_seq() + 1;
+  // Read the WAL's in-flight bound BEFORE the regions: a record below it
+  // has finished Region::apply, so its region's min_unflushed_wal_seq
+  // covers it (or a flush has put it in a store file since); a record at
+  // or above it may sit between its append and its apply, invisible to
+  // every region, and the bound stops at it.
+  std::uint64_t bound = wal_->first_unapplied_seq();
   ReaderLock lock(regions_mutex_);
   for (const auto& [name, region] : regions_) {
     const std::uint64_t first = region->min_unflushed_wal_seq();
@@ -302,24 +312,34 @@ Result<std::vector<Status>> RegionServer::apply_batch(const BatchApplyRequest& b
   }
 
   if (!alive()) return Status::unavailable("server down: " + id_);
-  SemaphoreGuard slot(handlers_);
-  if (!alive()) return Status::unavailable("server down: " + id_);
-
-  batch_rpcs.add();
-  batch_slices.add(static_cast<std::int64_t>(decoded.value().slices.size()));
   std::vector<Status> statuses;
-  statuses.reserve(decoded.value().slices.size());
-  for (const ApplyRequest& req : decoded.value().slices) {
-    Status applied = apply_decoded(req);
-    if (!applied.is_ok() && !alive()) {
-      // A crash tears the server down under a running apply (the WAL is
-      // closed, regions go offline), so the failure — Closed from the WAL
-      // append, say — reports the crash, not the request. A remote caller
-      // would see no answer and retry; say so explicitly. Reapplication on
-      // the new owner is idempotent.
-      applied = Status::unavailable("server crashed during apply: " + id_);
+  bool report_now = false;
+  {
+    SemaphoreGuard slot(handlers_);
+    if (!alive()) return Status::unavailable("server down: " + id_);
+
+    batch_rpcs.add();
+    batch_slices.add(static_cast<std::int64_t>(decoded.value().slices.size()));
+    statuses.reserve(decoded.value().slices.size());
+    for (const ApplyRequest& req : decoded.value().slices) {
+      Status applied = apply_decoded(req, &report_now);
+      if (!applied.is_ok() && !alive()) {
+        // A crash tears the server down under a running apply (the WAL is
+        // closed, regions go offline), so the failure — Closed from the WAL
+        // append, say — reports the crash, not the request. A remote caller
+        // would see no answer and retry; say so explicitly. Reapplication
+        // on the new owner is idempotent.
+        applied = Status::unavailable("server crashed during apply: " + id_);
+      }
+      statuses.push_back(std::move(applied));
     }
-    statuses.push_back(std::move(applied));
+  }
+  if (report_now) {
+    // The observer asked for an immediate heartbeat (an inherited TP, §3.2).
+    // One for the whole batch, after every slice and before the ack: a
+    // recovery replay of N write-sets costs one WAL sync and one
+    // coordination round, not N.
+    heartbeat_now();
   }
   if (drop_response) {
     // The write-sets ARE received (WAL-appended, applied, observed) but the
@@ -330,7 +350,7 @@ Result<std::vector<Status>> RegionServer::apply_batch(const BatchApplyRequest& b
   return statuses;
 }
 
-Status RegionServer::apply_decoded(const ApplyRequest& req) {
+Status RegionServer::apply_decoded(const ApplyRequest& req, bool* report_now) {
   // Group the mutations by target region; fail fast (before any side effect)
   // if some row is not hosted here, so the client re-locates and retries with
   // the whole slice — reapplication is idempotent.
@@ -371,7 +391,9 @@ Status RegionServer::apply_decoded(const ApplyRequest& req) {
       }
       return seq.status();
     }
-    if (!region->apply(cells, seq.value())) {
+    const bool landed = region->apply(cells, seq.value());
+    wal_->applied(seq.value());
+    if (!landed) {
       // The region went offline between the admission check above and this
       // apply — a split/merge/move fenced it. Nothing landed in the
       // memstore, and the WAL record just appended is harmless: the write
@@ -417,7 +439,7 @@ Status RegionServer::apply_decoded(const ApplyRequest& req) {
     MutexLock lock(hooks_mutex_);
     observer = writeset_observer_;
   }
-  if (observer) observer(req.commit_ts, req.piggyback_tp);
+  if (observer && observer(req.commit_ts, req.piggyback_tp)) *report_now = true;
   return Status::ok();
 }
 
@@ -517,7 +539,9 @@ Status RegionServer::open_region(const RegionDescriptor& desc,
     record.epoch = epoch;
     auto seq = wal_->append(std::move(record));
     if (!seq.is_ok()) return seq.status();
-    if (!region->apply(edit.cells, seq.value())) {
+    const bool landed = region->apply(edit.cells, seq.value());
+    wal_->applied(seq.value());
+    if (!landed) {
       // Only possible if this server crashed mid-open (crash() forces every
       // region offline); the open fails and recovery re-homes the region.
       return Status::unavailable("region " + desc.name() + " went offline during replay");

@@ -6,7 +6,8 @@
 //
 //   * set_writeset_observer  — invoked on every received write-set with its
 //     commit timestamp and the recovery client's piggybacked TP(s), feeding
-//     Algorithm 3's persist queue and the TP-inheritance rule;
+//     Algorithm 3's persist queue and the TP-inheritance rule; it can ask
+//     for one immediate heartbeat after the batch it arrived in;
 //   * set_pre_heartbeat_hook — invoked just before each heartbeat to the
 //     coordination service; the recovery layer persists received write-sets
 //     (WAL sync) and returns the TP(s) payload to piggyback (Algorithm 3);
@@ -63,7 +64,8 @@ struct RegionServerConfig {
   Micros wal_sync_interval = millis(50);
 
   /// Roll the WAL once the open segment exceeds this; closed segments whose
-  /// edits have all been flushed to store files are reclaimed.
+  /// edits have all been flushed to store files are reclaimed, and so is
+  /// the open one on a heartbeat tick that finds all of it flushed.
   std::uint64_t wal_segment_bytes = 8ull << 20;
 
   std::size_t memstore_flush_bytes = 64ull << 20;
@@ -209,7 +211,9 @@ class RegionServer {
 
   // --- recovery extension points -------------------------------------------
 
-  using WritesetObserver = std::function<void(Timestamp commit_ts,
+  /// Returns true to request one heartbeat once the whole batch is applied
+  /// and before it is acked (apply_batch issues it at most once per batch).
+  using WritesetObserver = std::function<bool(Timestamp commit_ts,
                                               std::optional<Timestamp> piggyback_tp)>;
   using PreHeartbeatHook = std::function<Timestamp()>;
   using RegionGate = std::function<void(const std::string& region_name,
@@ -271,8 +275,9 @@ class RegionServer {
  private:
   /// The per-slice core of apply_batch: WAL-append, apply to memstores,
   /// observe. Caller has decoded the request, checked liveness, and holds
-  /// a handler slot.
-  Status apply_decoded(const ApplyRequest& req);
+  /// a handler slot. Sets `*report_now` if the observer asked for a
+  /// heartbeat.
+  Status apply_decoded(const ApplyRequest& req, bool* report_now);
   /// The hand-off shared by splits and merges: fence the online parents
   /// (applies reject, so the flush drains every acked write), flush them,
   /// derive the children from the flushed parents, write each child's

@@ -93,7 +93,18 @@ Result<std::uint64_t> Wal::append(WalRecord record) {
   if (seg.first_seq == 0) seg.first_seq = seq;
   seg.last_seq = std::max(seg.last_seq, seq);
   seg.bytes += framed.size();
+  in_flight_.insert(seq);
   return seq;
+}
+
+void Wal::applied(std::uint64_t seq) {
+  MutexLock lock(mutex_);
+  in_flight_.erase(seq);
+}
+
+std::uint64_t Wal::first_unapplied_seq() const {
+  MutexLock lock(mutex_);
+  return in_flight_.empty() ? next_seq_.load(std::memory_order_acquire) : *in_flight_.begin();
 }
 
 Status Wal::sync() {
@@ -162,6 +173,54 @@ std::size_t Wal::truncate_obsolete(std::uint64_t min_needed_seq) {
                           << " segments below seq " << min_needed_seq;
   }
   return removed;
+}
+
+bool Wal::open_segment_obsolete_locked(std::uint64_t min_needed_seq) const {
+  const Segment& open = segments_.back();
+  return open.first_seq != 0 && open.last_seq < min_needed_seq;
+}
+
+bool Wal::discard_open_segment(std::uint64_t min_needed_seq) {
+  {
+    // Cheap check first: the common case (un-flushed edits in the open
+    // segment) must not wait behind an in-progress sync.
+    MutexLock lock(mutex_);
+    if (!open_segment_obsolete_locked(min_needed_seq)) return false;
+  }
+  // Holding the sync lock keeps a concurrent sync() from syncing the path
+  // deleted below; holding mutex_ keeps appends out while the segment is
+  // swapped. A record appended since the check above has seq >= the bound,
+  // so the re-check refuses it.
+  RankedMutexLock sync_lock(sync_mutex_);
+  RankedMutexLock lock(mutex_, sync_lock.token());
+  if (!open_segment_obsolete_locked(min_needed_seq)) return false;
+  const Segment old = segments_.back();
+  // Open the replacement before deleting anything, so a failure (e.g. the
+  // master fenced the directory) leaves a usable log behind.
+  if (Status opened = open_segment_locked(); !opened.is_ok()) {
+    TFR_LOG(WARN, "wal") << base_path_ << " could not replace flushed segment " << old.path
+                         << ": " << opened;
+    return false;
+  }
+  if (Status removed = dfs_->remove(old.path); !removed.is_ok()) {
+    // Fenced since the create above: the old segment stays, now a closed
+    // one, for the split to read.
+    TFR_LOG(WARN, "wal") << base_path_ << " could not delete flushed segment " << old.path
+                         << ": " << removed;
+    return false;
+  }
+  segments_.erase(segments_.end() - 2);
+  ++truncated_;
+  // Every record through the old segment's last seq is in a store file (or
+  // was never acked), so a sync has nothing older left to make durable.
+  std::uint64_t prev = synced_seq_.load(std::memory_order_relaxed);
+  while (prev < old.last_seq &&
+         !synced_seq_.compare_exchange_weak(prev, old.last_seq, std::memory_order_release)) {
+  }
+  static Counter& discards = global_counter("kv.wal_open_discards");
+  discards.add();
+  TFR_LOG(DEBUG, "wal") << base_path_ << " discarded flushed open segment " << old.path;
+  return true;
 }
 
 std::uint64_t Wal::current_segment_bytes() const {

@@ -9,7 +9,9 @@
 // Like HBase's, the log is a sequence of *segments*: roll() closes the
 // current segment and opens a fresh one, and truncate_obsolete() deletes
 // closed segments whose records have all been superseded by memstore
-// flushes (their data now lives in store files). After a server failure,
+// flushes (their data now lives in store files); discard_open_segment()
+// does the same for the open segment once all of it is flushed, so the
+// split of an idle server reads nothing. After a server failure,
 // the durable prefix of every live segment is split by region (Wal::split)
 // and replayed into freshly assigned regions — HBase's internal recovery.
 // Updates that were only in the in-memory tail are gone; those are
@@ -19,6 +21,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -63,7 +66,22 @@ class Wal {
   /// attached, a record bearing a stale epoch for its region is rejected
   /// with WrongEpoch before anything reaches the DFS (the fencing-token
   /// check; counted in kv.epoch_rejects).
+  ///
+  /// The record is then *in flight* until the caller reports it with
+  /// applied(): first_unapplied_seq() stays at or below its seq, so no
+  /// truncation bound computed from it can pass a record whose memstore
+  /// apply has not happened yet.
   Result<std::uint64_t> append(WalRecord record);
+
+  /// The record appended as `seq` has been applied to its memstore, or its
+  /// apply was abandoned (the write is unacked). Call exactly once per
+  /// successful append.
+  void applied(std::uint64_t seq);
+
+  /// The lowest sequence number appended but not yet reported applied, or
+  /// the next sequence number if none is in flight. Every record below it
+  /// has finished its memstore apply.
+  std::uint64_t first_unapplied_seq() const;
 
   /// Attach the cluster's epoch registry (nullptr to detach). Not
   /// synchronized with in-flight appends: install before traffic starts.
@@ -87,6 +105,16 @@ class Wal {
   /// server is dead to the cluster and must leave its segments for the
   /// split (counted in kv.wal_truncate_fenced).
   std::size_t truncate_obsolete(std::uint64_t min_needed_seq);
+
+  /// Drop the open segment when it holds records and every one of them has
+  /// seq < `min_needed_seq` (all flushed to store files): a fresh segment
+  /// replaces it and the old one is deleted. No sync is needed, since store
+  /// files hold everything it carried; synced_seq() advances past it. Waits
+  /// for an in-progress sync only when the segment is discardable. Returns
+  /// true if the segment was dropped (counted in kv.wal_open_discards).
+  /// A WrongEpoch from the DFS leaves the segment in place, as in
+  /// truncate_obsolete.
+  bool discard_open_segment(std::uint64_t min_needed_seq);
 
   /// Sequence number through which records are durable.
   std::uint64_t synced_seq() const { return synced_seq_.load(std::memory_order_acquire); }
@@ -129,6 +157,7 @@ class Wal {
 
   static std::string segment_path(const std::string& base, std::uint64_t index);
   Status open_segment_locked() TFR_REQUIRES(mutex_);
+  bool open_segment_obsolete_locked(std::uint64_t min_needed_seq) const TFR_REQUIRES(mutex_);
 
   struct Segment {
     std::string path;
@@ -146,6 +175,7 @@ class Wal {
   // Guards segments_ and appends (record framing).
   mutable RankedMutex<LockRank::kWal> mutex_{"wal"};
   std::vector<Segment> segments_ TFR_GUARDED_BY(mutex_);  // back() is the open segment
+  std::set<std::uint64_t> in_flight_ TFR_GUARDED_BY(mutex_);  // appended, not yet applied
   std::uint64_t next_segment_index_ TFR_GUARDED_BY(mutex_) = 1;
   std::uint64_t rolls_ TFR_GUARDED_BY(mutex_) = 0;
   std::uint64_t truncated_ TFR_GUARDED_BY(mutex_) = 0;

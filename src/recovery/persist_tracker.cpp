@@ -1,6 +1,7 @@
 #include "src/recovery/persist_tracker.h"
 
 #include "src/common/logging.h"
+#include "src/common/metrics.h"
 
 namespace tfr {
 
@@ -9,12 +10,12 @@ PersistTracker::PersistTracker(RegionServer& server, std::function<Timestamp()> 
     : server_(&server), fetch_global_tf_(std::move(fetch_global_tf)), tp_(initial_tp) {}
 
 void PersistTracker::install() {
+  // Algorithm 3: an inherited (lowered) threshold is reported to the
+  // recovery manager immediately, not at the next periodic heartbeat. The
+  // observer only records it; the server heartbeats once per received
+  // batch, after all of its slices (RegionServer::apply_batch).
   server_->set_writeset_observer([this](Timestamp ts, std::optional<Timestamp> piggyback) {
-    if (on_received(ts, piggyback)) {
-      // Algorithm 3: an inherited (lowered) threshold is reported to the
-      // recovery manager immediately, not at the next periodic heartbeat.
-      server_->heartbeat_now();
-    }
+    return on_received(ts, piggyback);
   });
   server_->set_pre_heartbeat_hook([this] { return heartbeat_payload(); });
 }
@@ -27,6 +28,7 @@ bool PersistTracker::on_received(Timestamp commit_ts, std::optional<Timestamp> p
     TFR_LOG(INFO, "tracker") << server_->id() << " inherits TP " << *piggyback_tp
                              << " (was " << tp_ << ")";
     tp_ = *piggyback_tp;
+    inherited_unreported_ = true;
     return true;  // Algorithm 3: heartbeat() right away
   }
   return false;
@@ -47,6 +49,13 @@ Timestamp PersistTracker::heartbeat_payload() {
   // either lands before our sync (durable, fine) or its inheritance runs
   // after our advance and lowers TP(s) again (conservative, fine).
   MutexLock lock(mutex_);
+  if (inherited_unreported_) {
+    // This heartbeat carries (or, after the sync below, supersedes) an
+    // inherited threshold: one per replay batch, however many slices.
+    static Counter& inherit_heartbeats = global_counter("tracker.inherit_heartbeats");
+    inherit_heartbeats.add();
+    inherited_unreported_ = false;
+  }
   if (tf == kNoTimestamp || tf <= tp_) {
     // Nothing new to learn; still report the (possibly inherited) TP.
     return tp_;

@@ -47,11 +47,14 @@ class PersistTracker {
 
   /// Algorithm 3, "On receive": track the write-set; inherit a piggybacked
   /// threshold. Returns true if an immediate heartbeat should follow (the
-  /// threshold was lowered and the recovery manager should learn quickly).
+  /// threshold was lowered and the recovery manager should learn quickly);
+  /// install()'s observer hands that request to the server, which issues
+  /// one heartbeat per received batch.
   bool on_received(Timestamp commit_ts, std::optional<Timestamp> piggyback_tp);
 
   /// Algorithm 3, "On heartbeat": persist everything received (WAL sync),
-  /// advance TP(s) to the global TF, and return TP(s) as the payload.
+  /// advance TP(s) to the global TF, and return TP(s) as the payload. The
+  /// first payload after an inheritance counts in tracker.inherit_heartbeats.
   Timestamp heartbeat_payload();
 
   Timestamp tp() const;
@@ -69,6 +72,7 @@ class PersistTracker {
   // across Wal::sync, hence ranked above kWalSync.
   mutable RankedMutex<LockRank::kRecoveryTracker> mutex_{"persist_tracker"};
   Timestamp tp_ TFR_GUARDED_BY(mutex_);
+  bool inherited_unreported_ TFR_GUARDED_BY(mutex_) = false;
   SyncedMinQueue<Timestamp> pq_;  // received, in commit order
 };
 

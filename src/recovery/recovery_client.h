@@ -10,7 +10,13 @@
 //  3. during server recovery it piggybacks the failed server's TP(s) on
 //     every replayed write-set so the receiving server inherits
 //     responsibility for the replayed updates.
+//
+// A region's whole replay travels as one batched flush: every candidate's
+// slice for the region in one apply RPC, so the receiving server inherits
+// TP(s) and persists once per region gate, not once per write-set.
 #pragma once
+
+#include <span>
 
 #include "src/kv/kv_client.h"
 
@@ -31,11 +37,12 @@ class RecoveryClient {
   /// timestamp to whatever servers currently host its rows.
   Status replay_for_client(const WriteSet& ws);
 
-  /// Server recovery: replay only the updates of `ws` that fall within
-  /// `region`, piggybacking the failed server's TP(s). No-op if the
-  /// write-set has no update in the region.
-  Status replay_for_region(const WriteSet& ws, const RegionDescriptor& region,
-                           Timestamp failed_server_tp);
+  /// Server recovery: filter each candidate write-set to the updates that
+  /// fall within `region` and replay every non-empty slice in one batched
+  /// flush, piggybacking the failed server's TP(s). Candidates with no
+  /// update in the region are skipped.
+  Status replay_region(std::span<const WriteSet> candidates, const RegionDescriptor& region,
+                       Timestamp failed_server_tp);
 
   RecoveryClientStats stats() const;
 

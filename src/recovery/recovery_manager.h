@@ -70,6 +70,11 @@ struct RecoveryManagerStats {
   std::int64_t server_recoveries = 0;
   std::int64_t regions_recovered = 0;
   std::int64_t writesets_replayed_client = 0;
+  /// Candidate write-sets handed to region gates whose replay succeeded:
+  /// every write-set fetched after the region's TPr, including those with
+  /// no update in the region (their filtered slice is empty and is never
+  /// sent). RecoveryClientStats::region_writesets_replayed counts the
+  /// slices actually sent.
   std::int64_t writesets_replayed_server = 0;
   std::int64_t threshold_refreshes = 0;
   /// Pending replay floors migrated across topology transitions: one count
@@ -137,7 +142,10 @@ class RecoveryManager : public MasterHooks {
   bool is_region_recovering(const std::string& region) override;
 
   /// Region gate, called by a region server after internal recovery and
-  /// before the region goes online. Blocks for the transactional replay.
+  /// before the region goes online. Blocks for the transactional replay:
+  /// one batched flush of the region's slices, which returns once the
+  /// hosting server has applied them and heartbeated the inherited TPr
+  /// (one sample of rm.gate_replay_us per replaying gate).
   void on_region_recovered(const std::string& region_name, const std::string& server_id);
 
   // --- thresholds ------------------------------------------------------------

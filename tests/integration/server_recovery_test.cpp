@@ -3,6 +3,7 @@
 // cascading failures, and interrupted client flushes.
 #include <gtest/gtest.h>
 
+#include "src/common/metrics.h"
 #include "src/testbed/testbed.h"
 
 namespace tfr {
@@ -209,6 +210,54 @@ TEST_F(ServerRecoveryTest, SplitWalEditsCombineWithTmLogReplay) {
   bed_.wait_for_recovery();
   ASSERT_TRUE(bed_.wait_stable(second.back()));
   verify_rows(0, 40);
+}
+
+TEST(RegionGateBatchTest, GateReplaysEveryCandidateInOneApplyRpc) {
+  // One region, so one gate. The client never heartbeats, so TF (and with
+  // it TP) stays below every commit: all of them are replay candidates.
+  // (With TP pinned there is nothing to inherit; PersistTrackerTest counts
+  // the inheritance heartbeats and syncs of a replay batch.)
+  TestbedConfig cfg = fast_test_config(2, 1);
+  cfg.client.heartbeat_interval = seconds(100);
+  cfg.client.session_ttl = seconds(1000);
+  cfg.client.snapshot = SnapshotMode::kLatest;
+  Testbed bed(cfg);
+  ASSERT_TRUE(bed.start().is_ok());
+  ASSERT_TRUE(bed.create_table("t", 100, 1).is_ok());
+  constexpr int kTxns = 8;
+  for (int i = 0; i < kTxns; ++i) {
+    Transaction txn = bed.client().begin("t");
+    txn.put(Testbed::row_key(i), "c", "v" + std::to_string(i));
+    txn.put(Testbed::row_key(50 + i), "c", "w" + std::to_string(i));
+    ASSERT_TRUE(txn.commit().is_ok());
+  }
+  ASSERT_TRUE(bed.client().wait_flushed());
+
+  const std::string host = bed.master().table_regions("t").front().server_id;
+  const int victim = bed.cluster().server(0).id() == host ? 0 : 1;
+  Counter& apply_rpcs = global_counter("kv.batch_apply_rpcs");
+  Histogram& gate_replay = global_histogram("rm.gate_replay_us");
+  const std::int64_t rpcs_before = apply_rpcs.get();
+  const std::uint64_t gates_before = gate_replay.count();
+  const std::int64_t replayed_before = bed.rm().stats().writesets_replayed_server;
+
+  bed.crash_server(victim);
+  ASSERT_TRUE(bed.wait_server_recoveries(1));
+  bed.wait_for_recovery();
+
+  EXPECT_EQ(bed.rm().stats().writesets_replayed_server - replayed_before, kTxns);
+  EXPECT_EQ(apply_rpcs.get() - rpcs_before, 1) << "one apply RPC for the whole gate";
+  EXPECT_EQ(gate_replay.count() - gates_before, 1u);
+  Transaction r = bed.client().begin("t");
+  for (int i = 0; i < kTxns; ++i) {
+    auto v = r.get(Testbed::row_key(i), "c");
+    ASSERT_TRUE(v.is_ok() && v.value().has_value()) << "lost row " << i;
+    EXPECT_EQ(*v.value(), "v" + std::to_string(i));
+    auto w = r.get(Testbed::row_key(50 + i), "c");
+    ASSERT_TRUE(w.is_ok() && w.value().has_value()) << "lost row " << 50 + i;
+    EXPECT_EQ(*w.value(), "w" + std::to_string(i));
+  }
+  r.abort();
 }
 
 TEST(ServerCrashDuringApplyTest, WriteSetStillReachesSurvivingServer) {

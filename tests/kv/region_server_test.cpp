@@ -143,6 +143,7 @@ TEST_F(RegionServerTest, WritesetObserverSeesCommitTsAndPiggyback) {
   server_.set_writeset_observer([&](Timestamp ts, std::optional<Timestamp> piggyback) {
     seen_ts = ts;
     seen_piggyback = piggyback;
+    return false;
   });
   auto req = make_request(9, {"r1"});
   req.piggyback_tp = 4;
@@ -151,6 +152,31 @@ TEST_F(RegionServerTest, WritesetObserverSeesCommitTsAndPiggyback) {
   EXPECT_EQ(seen_ts, 9);
   ASSERT_TRUE(seen_piggyback.has_value());
   EXPECT_EQ(*seen_piggyback, 4);
+}
+
+TEST_F(RegionServerTest, ObserverHeartbeatRequestsCollapseToOnePerBatch) {
+  // Every slice of the batch asks for an immediate heartbeat; the server
+  // issues exactly one, after the last slice and before the batch acks.
+  int observed = 0;
+  std::vector<int> observed_at_heartbeat;
+  server_.set_writeset_observer([&](Timestamp, std::optional<Timestamp>) {
+    ++observed;
+    return true;
+  });
+  server_.set_pre_heartbeat_hook([&] {
+    observed_at_heartbeat.push_back(observed);
+    return Timestamp{0};
+  });
+  BatchApplyRequest batch;
+  for (Timestamp ts = 1; ts <= 5; ++ts) batch.slices.push_back(make_request(ts, {"r1"}));
+  auto statuses = server_.apply_batch(batch);
+  ASSERT_TRUE(statuses.is_ok());
+  EXPECT_EQ(observed_at_heartbeat, std::vector<int>{5});
+
+  // No request, no heartbeat.
+  server_.set_writeset_observer([](Timestamp, std::optional<Timestamp>) { return false; });
+  ASSERT_TRUE(server_.apply_batch(batch).is_ok());
+  EXPECT_EQ(observed_at_heartbeat.size(), 1u);
 }
 
 TEST_F(RegionServerTest, PreHeartbeatHookSuppliesPayload) {

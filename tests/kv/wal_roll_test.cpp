@@ -6,6 +6,7 @@
 #include <thread>
 
 #include "src/common/codec.h"
+#include "src/common/metrics.h"
 #include "src/kv/region_server.h"
 #include "src/kv/wal.h"
 
@@ -218,6 +219,174 @@ TEST(WalRollTest, SplitIsAllOrNothingOnCorruptSegment) {
   ASSERT_FALSE(split.is_ok());
   EXPECT_NE(split.status().to_string().find("checksum"), std::string::npos)
       << split.status();
+}
+
+/// A region server whose WAL is driven by hand: no periodic heartbeat or
+/// sync, no size-triggered memstore flush.
+RegionServerConfig manual_wal_config() {
+  RegionServerConfig cfg;
+  cfg.heartbeat_interval = seconds(100);
+  cfg.session_ttl = seconds(1000);
+  cfg.wal_sync_interval = seconds(100);
+  cfg.memstore_flush_bytes = 1u << 30;
+  return cfg;
+}
+
+void apply_row(RegionServer& server, const std::string& row, Timestamp ts) {
+  ApplyRequest req;
+  req.commit_ts = ts;
+  req.client_id = "c";
+  req.table = "t";
+  req.mutations.push_back(Mutation{row, "c", "v" + std::to_string(ts), false});
+  ASSERT_TRUE(server.apply_writeset(req).is_ok());
+}
+
+std::size_t split_record_count(Dfs& dfs, const std::string& wal_path) {
+  const auto grouped = Wal::split(dfs, wal_path).value();
+  std::size_t n = 0;
+  for (const auto& [region, records] : grouped) n += records.size();
+  return n;
+}
+
+TEST(WalRollTest, HeartbeatDiscardsFullyFlushedOpenSegment) {
+  // After every memstore is flushed, the open segment holds nothing a split
+  // needs: one heartbeat tick replaces it, and a failover split of this
+  // server reads no records.
+  Dfs dfs{DfsConfig{}};
+  Coord coord(seconds(10));
+  RegionServer server("rs1", dfs, coord, manual_wal_config());
+  ASSERT_TRUE(server.start().is_ok());
+  ASSERT_TRUE(server.open_region(RegionDescriptor{"t", "", "m"}, {}).is_ok());
+  ASSERT_TRUE(server.open_region(RegionDescriptor{"t", "m", ""}, {}).is_ok());
+  for (Timestamp ts = 1; ts <= 10; ++ts) {
+    apply_row(server, (ts % 2 ? "a" : "x") + std::to_string(ts), ts);
+  }
+  ASSERT_TRUE(server.persist_wal().is_ok());
+  ASSERT_EQ(split_record_count(dfs, server.wal_path()), 10u);
+
+  for (const auto& name : server.region_names()) {
+    ASSERT_TRUE(server.region(name)->flush_memstore().is_ok());
+  }
+  Counter& discards = global_counter("kv.wal_open_discards");
+  const std::int64_t discards_before = discards.get();
+  server.heartbeat_now();
+  EXPECT_EQ(discards.get() - discards_before, 1);
+  EXPECT_EQ(server.wal().stats().live_segments, 1u);
+  EXPECT_EQ(split_record_count(dfs, server.wal_path()), 0u);
+
+  // The fresh segment takes new writes, and they survive a crash once
+  // synced.
+  apply_row(server, "b", 11);
+  ASSERT_TRUE(server.persist_wal().is_ok());
+  server.crash();
+  EXPECT_EQ(split_record_count(dfs, server.wal_path()), 1u);
+}
+
+TEST(WalRollTest, HeartbeatKeepsOpenSegmentWithUnflushedRegion) {
+  Dfs dfs{DfsConfig{}};
+  Coord coord(seconds(10));
+  RegionServer server("rs1", dfs, coord, manual_wal_config());
+  ASSERT_TRUE(server.start().is_ok());
+  ASSERT_TRUE(server.open_region(RegionDescriptor{"t", "", "m"}, {}).is_ok());
+  ASSERT_TRUE(server.open_region(RegionDescriptor{"t", "m", ""}, {}).is_ok());
+  for (Timestamp ts = 1; ts <= 10; ++ts) {
+    apply_row(server, (ts % 2 ? "a" : "x") + std::to_string(ts), ts);
+  }
+  ASSERT_TRUE(server.persist_wal().is_ok());
+  // Flush only the left region: the right one's edits still live only in
+  // its memstore and this segment.
+  ASSERT_TRUE(server.region("t,")->flush_memstore().is_ok());
+  server.heartbeat_now();
+  server.crash();
+  auto grouped = Wal::split(dfs, server.wal_path()).value();
+  EXPECT_EQ(grouped["t,m"].size(), 5u) << "un-flushed edits must stay in the WAL";
+}
+
+TEST(WalRollTest, AppendNotYetAppliedSurvivesRollAndTruncation) {
+  // The apply path appends a record (assigning its seq) and only then
+  // applies it to the memstore. In between, the region's memstore can be
+  // empty, so its min_unflushed_wal_seq says nothing about the record; a
+  // roll and truncation in that window must still keep the segment that
+  // holds it, or an acked edit ends up only in a memstore.
+  Dfs dfs{DfsConfig{}};
+  Coord coord(seconds(10));
+  RegionServerConfig cfg = manual_wal_config();
+  cfg.wal_segment_bytes = 1;  // every maybe_roll_wal rolls
+  RegionServer server("rs1", dfs, coord, cfg);
+  ASSERT_TRUE(server.start().is_ok());
+  ASSERT_TRUE(server.open_region(RegionDescriptor{"t", "", ""}, {}).is_ok());
+
+  // The apply path's first step, by hand: append, not yet applied.
+  auto seq = server.wal().append(rec("t,", 7));
+  ASSERT_TRUE(seq.is_ok());
+  server.maybe_roll_wal();  // rolls (syncing the record), then truncates
+  server.heartbeat_now();   // and offers the open segment for discard
+  server.crash();
+
+  std::set<std::uint64_t> seqs;
+  const auto records = Wal::read_records(dfs, server.wal_path()).value();
+  for (const auto& r : records) seqs.insert(r.seq);
+  EXPECT_EQ(seqs.count(seq.value()), 1u) << "in-flight record reclaimed";
+}
+
+TEST(WalRollTest, AppendNotYetAppliedKeepsOpenSegmentOnHeartbeat) {
+  // The same window against the open-segment discard: the region's
+  // memstore is empty and the only record is in flight.
+  Dfs dfs{DfsConfig{}};
+  Coord coord(seconds(10));
+  RegionServer server("rs1", dfs, coord, manual_wal_config());
+  ASSERT_TRUE(server.start().is_ok());
+  ASSERT_TRUE(server.open_region(RegionDescriptor{"t", "", ""}, {}).is_ok());
+  auto seq = server.wal().append(rec("t,", 7));
+  ASSERT_TRUE(seq.is_ok());
+  ASSERT_TRUE(server.persist_wal().is_ok());
+  server.heartbeat_now();
+  server.crash();
+  EXPECT_EQ(split_record_count(dfs, server.wal_path()), 1u);
+}
+
+TEST(WalRollTest, FirstUnappliedSeqTracksInFlightAppends) {
+  Dfs dfs{DfsConfig{}};
+  auto wal = Wal::create(dfs, "/wal/rs1.log").value();
+  EXPECT_EQ(wal->first_unapplied_seq(), 1u) << "nothing in flight: the next seq";
+  const std::uint64_t first = wal->append(rec("r", 1)).value();
+  const std::uint64_t second = wal->append(rec("r", 2)).value();
+  EXPECT_EQ(wal->first_unapplied_seq(), first);
+  wal->applied(second);  // applies finish out of order
+  EXPECT_EQ(wal->first_unapplied_seq(), first);
+  wal->applied(first);
+  EXPECT_EQ(wal->first_unapplied_seq(), second + 1);
+}
+
+TEST(WalRollTest, DiscardOpenSegmentOnlyWhenEveryRecordIsBelowTheBound) {
+  Dfs dfs{DfsConfig{}};
+  auto wal = Wal::create(dfs, "/wal/rs1.log").value();
+  ASSERT_TRUE(wal->append(rec("r", 1)).is_ok());
+  ASSERT_TRUE(wal->append(rec("r", 2)).is_ok());
+  EXPECT_FALSE(wal->discard_open_segment(2)) << "seq 2 is still needed";
+  EXPECT_TRUE(dfs.exists("/wal/rs1.log.00000001"));
+  EXPECT_TRUE(wal->discard_open_segment(3));
+  EXPECT_FALSE(dfs.exists("/wal/rs1.log.00000001"));
+  EXPECT_EQ(wal->stats().live_segments, 1u);
+  EXPECT_EQ(wal->synced_seq(), 2u) << "discarded records need no sync";
+  ASSERT_TRUE(wal->append(rec("r", 3)).is_ok());
+  ASSERT_TRUE(wal->sync().is_ok());
+  auto records = Wal::read_records(dfs, "/wal/rs1.log").value();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].seq, 3u);
+  // Once the fresh segment is discarded too, it is empty and stays.
+  EXPECT_TRUE(wal->discard_open_segment(4));
+  EXPECT_FALSE(wal->discard_open_segment(100)) << "an empty open segment stays";
+}
+
+TEST(WalRollTest, DiscardOpenSegmentStopsAtMasterFence) {
+  Dfs dfs{DfsConfig{}};
+  auto wal = Wal::create(dfs, "/wal/rs1.log").value();
+  ASSERT_TRUE(wal->append(rec("r", 1)).is_ok());
+  ASSERT_TRUE(wal->sync().is_ok());
+  dfs.fence_prefix("/wal/rs1.log");
+  EXPECT_FALSE(wal->discard_open_segment(100));
+  EXPECT_EQ(Wal::read_records(dfs, "/wal/rs1.log").value().size(), 1u);
 }
 
 }  // namespace

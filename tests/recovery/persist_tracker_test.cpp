@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/common/metrics.h"
+
 namespace tfr {
 namespace {
 
@@ -134,6 +136,41 @@ TEST_F(PersistTrackerTest, InheritanceTriggersImmediateHeartbeat) {
   auto session = coord_.session("servers", "rs1");
   ASSERT_TRUE(session.has_value());
   EXPECT_EQ(session->payload, 3);
+}
+
+TEST_F(PersistTrackerTest, ReplayBatchInheritsWithOneHeartbeatAndOneSync) {
+  // A region gate replays its N candidate slices in one batch. Each slice
+  // lowers TP(s) to the piggybacked TPr, but the server reports and
+  // persists once for the whole batch, before the ack.
+  PersistTracker tracker(server_, [this] { return global_tf_; }, 10);
+  tracker.install();
+  global_tf_ = 20;
+  constexpr int kSlices = 6;
+  BatchApplyRequest batch;
+  for (int i = 0; i < kSlices; ++i) {
+    ApplyRequest req;
+    req.txn_id = static_cast<std::uint64_t>(11 + i);
+    req.client_id = "c1";
+    req.commit_ts = 11 + i;
+    req.table = "t";
+    req.mutations.push_back(Mutation{"row" + std::to_string(i), "c", "v", false});
+    req.piggyback_tp = 3;
+    req.recovery_replay = true;
+    batch.slices.push_back(std::move(req));
+  }
+  Counter& inherit_heartbeats = global_counter("tracker.inherit_heartbeats");
+  const std::int64_t heartbeats_before = inherit_heartbeats.get();
+  const auto syncs_before = server_.wal().stats().syncs;
+  auto statuses = server_.apply_batch(batch);
+  ASSERT_TRUE(statuses.is_ok());
+  for (const auto& st : statuses.value()) EXPECT_TRUE(st.is_ok()) << st;
+
+  EXPECT_EQ(server_.wal().stats().syncs - syncs_before, 1u);
+  EXPECT_EQ(inherit_heartbeats.get() - heartbeats_before, 1);
+  // The one sync covered every replayed slice, so TP(s) is back at TF.
+  EXPECT_EQ(server_.wal().synced_seq(), server_.wal().appended_seq());
+  EXPECT_EQ(tracker.tp(), 20);
+  EXPECT_EQ(coord_.session("servers", "rs1")->payload, 20);
 }
 
 TEST_F(PersistTrackerTest, ServerRegistersWithInitialTpWhenInstalledBeforeStart) {
